@@ -160,13 +160,12 @@ _RESCALE = {"g2": lambda sc, p: sc.gT ** 2, "g1": lambda sc, p: sc.gs ** 2,
 
 def cmd_qfi(ns) -> str:
     p = params_from_options(vars(ns))
-    br = qfi_ed(p, lam=ns.lam, step=ns.step, cutoff=ns.cutoff or None,
-                edge=ns.edge)
+    br = qfi_ed(p, lam=ns.lam, cutoff=ns.cutoff or None)
     sc = derived_scales(p)
     rescaled = br.total * _RESCALE[ns.lam](sc, p)
     columns = ["f_q", "f_q_rescaled"]
     meta = {"params": p, "lambda": br.lam, "lambda_value": br.lambda_value,
-            "step": br.step, "cutoff": br.cutoff,
+            "cutoff": br.cutoff,
             "rescale_note": "f_q_rescaled = f_q times the squared coupling scale"}
     return _write(ns, columns, [[br.total, rescaled]], meta)
 
@@ -196,8 +195,7 @@ def cmd_qfi_curve(ns) -> str:
     p = params_from_options(vars(ns))
     quantity = "qfi_ed" if ns.method == "ed" else "qfi_analytic"
     spec = SweepSpec(axes=(_axis_from(ns, "x"),), base=p, quantity=quantity,
-                     lam=ns.lam, cutoff=ns.cutoff or None, step=ns.step,
-                     threads=ns.threads)
+                     lam=ns.lam, cutoff=ns.cutoff or None, threads=ns.threads)
     grid = run_sweep(spec)
     columns, rows = _grid_rows(grid)
     return _write(ns, columns, rows,
@@ -366,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--lambda", dest="lam", choices=("g2", "g1", "epsilon"),
                    default="g2")
-    s.add_argument("--step", type=float, default=None)
-    s.add_argument("--edge", choices=("error", "shift"), default="shift",
-                   help="stencil behavior at the g2 domain edge")
     s.set_defaults(func=cmd_qfi)
 
     s = subs.add_parser("qfi-curve", help="QFI along one swept axis")
@@ -376,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", choices=("g2", "g1", "epsilon"),
                    default="g2")
     s.add_argument("--method", choices=("ed", "analytic"), default="ed")
-    s.add_argument("--step", type=float, default=None)
     _add_axis(s, "x", "gbar2")
     s.set_defaults(func=cmd_qfi_curve)
 

@@ -19,6 +19,8 @@ from .model import ModelParams
 
 DEFAULT_CUTOFF_START = 16
 DEFAULT_CUTOFF_CEILING = 4096
+# E1 - E0 below this fraction of omega counts as a closed gap.
+GAP_FLOOR_FACTOR = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -60,7 +62,6 @@ class SpectrumSlice:
     energies: np.ndarray
     vectors: tuple
     cutoff: int
-    converged: bool
 
 
 def build_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
@@ -87,20 +88,42 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
     return h
 
 
-def _banded_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
-    """Lower-banded storage (5 diagonals) for scipy.linalg.eig_banded."""
-    dim = 2 * (cutoff + 1)
-    band = np.zeros((5, dim))
+def _banded_derivative(lam: str, cutoff: int) -> np.ndarray:
+    """Lower-banded dH/d lam: sigma_z (a^dag + a)^2, sigma_z (a^dag + a) or -sigma_z."""
+    band = np.zeros((5, 2 * (cutoff + 1)))
     n = np.arange(cutoff + 1, dtype=float)
     for s, off in ((+1.0, 0), (-1.0, 1)):
         idx = 2 * n.astype(int) + off
-        band[0, idx] = p.omega * n + s * (p.g2 * (2.0 * n + 1.0) - p.epsilon)
-        if cutoff >= 1:
-            band[2, idx[:-1]] = s * p.g1 * np.sqrt(n[:-1] + 1.0)
-        if cutoff >= 2:
-            band[4, idx[:-2]] = s * p.g2 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+        if lam == "g2":
+            band[0, idx] = s * (2.0 * n + 1.0)
+            band[4, idx[:-2]] = s * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+        elif lam == "g1":
+            band[2, idx[:-1]] = s * np.sqrt(n[:-1] + 1.0)
+        elif lam == "epsilon":
+            band[0, idx] = -s
+    return band
+
+
+def _banded_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
+    """Lower-banded storage (5 diagonals) for scipy.linalg.eig_banded.
+
+    H = omega a^dag a + (Omega/2) sigma_x + sum_lam lam dH/d lam, lam in (g1, g2, epsilon).
+    """
+    band = (p.g2 * _banded_derivative("g2", cutoff)
+            + p.g1 * _banded_derivative("g1", cutoff)
+            + p.epsilon * _banded_derivative("epsilon", cutoff))
+    band[0] += p.omega * np.repeat(np.arange(cutoff + 1, dtype=float), 2)
     band[1, 0::2] = 0.5 * p.Omega
     return band
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix in lower-banded storage with x."""
+    y = band[0] * x
+    for k in range(1, band.shape[0]):
+        y[k:] += band[k, :-k] * x[:-k]
+        y[:-k] += band[k, :-k] * x[k:]
+    return y
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -144,8 +167,7 @@ def spectrum(p: ModelParams, cutoff: int, k: int = 2) -> SpectrumSlice:
     vectors = tuple(
         SpinorFockVector.from_interleaved(_gauge_fix(vecs[:, c]), cutoff)
         for c in range(k))
-    return SpectrumSlice(energies=energies, vectors=vectors, cutoff=cutoff,
-                         converged=True)
+    return SpectrumSlice(energies=energies, vectors=vectors, cutoff=cutoff)
 
 
 def ground_state(p: ModelParams, cutoff: int) -> tuple[float, SpinorFockVector]:

@@ -1,34 +1,34 @@
 """Ground-state QFI and fidelity from exact eigenvectors.
 
-Coefficient derivatives are taken by gauge-fixed central differences at a
-shared cutoff:
+The QFI is exact linear response at a fixed cutoff (the Sternheimer / DFPT
+construction, Baroni et al., RMP 73, 515 (2001)). dH/d lambda is banded, so
 
-    F_Q = 4 [ sum_n (dc_n/d lambda)^2 - (sum_n (dc_n/d lambda) c_n)^2 ].
+    F_Q = 4 ||x||^2,   (H - E0) x = -Q dH/d lambda psi0,   Q = 1 - |psi0><psi0|,
 
-The subtracted projection vanishes analytically for real gauge-fixed states;
-it is still computed and monitored as a built-in sanity check.
+with x orthogonal to psi0: x is d psi0/d lambda of the truncated problem,
+and F_Q/4 is the fidelity susceptibility (You, Li & Gu, PRE 76, 022101 (2007)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .fockspace import default_cutoff, spectrum
-from .model import ModelParams, derived_scales
-
-
-class StencilCrossingError(RuntimeError):
-    """Eigenvector overlap across the stencil below 0.5: level crossing inside it."""
-
-
-class GaugeResidualError(RuntimeError):
-    """|<psi'|psi>|^2 exceeded its round-off budget for a real gauge-fixed state."""
-
+from .fockspace import (GAP_FLOOR_FACTOR, _band_matvec, _banded_derivative,
+                        _banded_hamiltonian, default_cutoff, spectrum)
+from .model import ModelParams
 
 LAMBDA_NAMES = ("g2", "g1", "epsilon")
+# Shift of the factored H - E0, as a fraction of the gap: each refinement step
+# multiplies the error by less than this factor, so four steps reach round-off.
+RESPONSE_SHIFT = 1e-3
+RESPONSE_REFINEMENTS = 4
+
+
+class DegenerateGroundError(RuntimeError):
+    """E1 - E0 below GAP_FLOOR_FACTOR omega: (H - E0)^+ and F_Q are ill-defined."""
 
 
 @dataclass
@@ -37,7 +37,8 @@ class QfiBreakdown:
 
     Units are 1/[lambda]^2 for the dimensionful parameter lambda. For
     method="analytic" the mixed components are exact zeros and
-    total = xi + x + rho.
+    total = xi + x + rho. `step` is the finite-difference step of the
+    variational method; it is None for ED and analytic results.
     """
 
     total: float
@@ -59,103 +60,53 @@ def _with_lambda(p: ModelParams, lam: str, value: float) -> ModelParams:
     return p.replace(**{lam: value})
 
 
-def default_step(p: ModelParams, lam: str) -> float:
-    """1e-5 of the natural coupling scale: gT for g2, gs for g1, omega for epsilon."""
-    sc = derived_scales(p)
-    if lam == "g2":
-        return 1e-5 * sc.gT
-    if lam == "g1":
-        return 1e-5 * (sc.gs if sc.gs > 0 else sc.gT)
-    if lam == "epsilon":
-        return 1e-5 * p.omega
-    raise ValueError(f"lambda must be one of {LAMBDA_NAMES}, got {lam!r}")
-
-
-def _domain(p: ModelParams, lam: str) -> tuple[float, float]:
-    if lam == "g2":
-        return 0.0, p.omega / 4.0  # upper end exclusive (collapse bound)
-    return -math.inf, math.inf
-
-
 def _ground_vec(p: ModelParams, cutoff: int) -> np.ndarray:
     return spectrum(p, cutoff, k=1).vectors[0].interleaved()
 
 
-def _stencil_center(p: ModelParams, lam: str, step: float, edge: str) -> float:
-    lo, hi = _domain(p, lam)
-    center = _lambda_value(p, lam)
-    below = center - step < lo
-    above = math.isfinite(hi) and center + step >= hi
-    if not below and not above:
-        return center
-    if edge == "error":
-        raise ValueError(
-            f"stencil [{center - step}, {center + step}] for lambda={lam} leaves "
-            f"the parameter domain [{lo}, {hi}); use a smaller step or edge='shift'")
-    shifted = center
-    if below:
-        shifted = lo + step
-    if math.isfinite(hi):
-        shifted = min(shifted, hi * (1.0 - 1e-12) - step)
-    if shifted < lo:
-        raise ValueError(f"step {step} too large for the {lam} domain [{lo}, {hi})")
-    return shifted
+def _response(band: np.ndarray, e0: float, gap: float, psi: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """x orthogonal to psi with (H - E0) x = rhs, for rhs orthogonal to psi.
 
-
-def qfi_ed(p: ModelParams, lam: str = "g2", step: float | None = None,
-           cutoff: int | None = None, edge: str = "error",
-           max_shrink: int = 6) -> QfiBreakdown:
-    """Central-difference QFI at lambda = p.<lam>, same cutoff on all three points.
-
-    The eigenvector signs at lambda +- h are aligned to the center point
-    (overlap forced positive). An overlap below 0.5 indicates a level crossing
-    inside the stencil; the step is then shrunk by 4x up to `max_shrink`
-    times before raising StencilCrossingError. The same shrink loop handles a
-    too-large |<psi'|psi>|^2 residual, which falls as h^4 on sharp peaks.
+    H - E0 is singular (psi spans its null space), so it is not factored
+    directly: the positive-definite H - E0 + RESPONSE_SHIFT * gap is, and the
+    solution is refined against H - E0 with psi projected out after each step.
     """
-    if edge not in ("error", "shift"):
-        raise ValueError(f"edge must be 'error' or 'shift', got {edge!r}")
-    h = default_step(p, lam) if step is None else float(step)
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    singular = band.copy()
+    singular[0] -= e0
+    shifted = singular.copy()
+    shifted[0] += RESPONSE_SHIFT * gap
+    factor = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
+    x = np.zeros_like(rhs)
+    for _ in range(RESPONSE_REFINEMENTS + 1):
+        x += scipy.linalg.cho_solve_banded((factor, True),
+                                           rhs - _band_matvec(singular, x),
+                                           check_finite=False)
+        x -= psi * (psi @ x)
+    return x
 
-    failure = None
-    for attempt in range(max_shrink + 1):
-        center = _stencil_center(p, lam, h, edge)
-        p0 = _with_lambda(p, lam, center)
-        n = default_cutoff(p0) if cutoff is None else cutoff
-        v0 = _ground_vec(p0, n)
-        vm = _ground_vec(_with_lambda(p, lam, center - h), n)
-        vp = _ground_vec(_with_lambda(p, lam, center + h), n)
-        om = float(vm @ v0)
-        op = float(vp @ v0)
-        if om < 0:
-            vm, om = -vm, -om
-        if op < 0:
-            vp, op = -vp, -op
-        if min(om, op) < 0.5:
-            failure = StencilCrossingError(
-                f"stencil overlap {min(om, op):.3f} < 0.5 at lambda={lam}, "
-                f"step {h}: level crossing inside the stencil, use a smaller step")
-            h /= 4.0
-            continue
-        dc = (vp - vm) / (2.0 * h)
-        sum_sq = float(dc @ dc)
-        proj = float(dc @ v0)
-        if sum_sq > 0 and proj ** 2 > 1e-8 * sum_sq:
-            failure = GaugeResidualError(
-                f"|<psi'|psi>|^2 = {proj ** 2:.3e} exceeds 1e-8 * {sum_sq:.3e} "
-                f"at lambda={lam}, step {h}")
-            h /= 4.0
-            continue
-        failure = None
-        break
-    if failure is not None:
-        raise failure
 
-    total = 4.0 * (sum_sq - proj ** 2)
-    return QfiBreakdown(total=total, components={}, method="ED", lam=lam,
-                        step=h, lambda_value=center, cutoff=n)
+def qfi_ed(p: ModelParams, lam: str = "g2",
+           cutoff: int | None = None) -> QfiBreakdown:
+    """F_Q(lambda = p.<lam>) by linear response; one eigensolve at one cutoff.
+
+    Raises DegenerateGroundError when E1 - E0 < GAP_FLOOR_FACTOR * omega.
+    """
+    value = _lambda_value(p, lam)
+    n = default_cutoff(p) if cutoff is None else cutoff
+    sl = spectrum(p, n, k=2)
+    e0 = float(sl.energies[0])
+    gap = float(sl.energies[1]) - e0
+    if gap < GAP_FLOOR_FACTOR * p.omega:
+        raise DegenerateGroundError(
+            f"gap E1 - E0 = {gap:.3e} below {GAP_FLOOR_FACTOR:g} omega at {p}, "
+            f"cutoff {n}: degenerate ground state, F_Q({lam}) undefined")
+    psi = sl.vectors[0].interleaved()
+    dh_psi = _band_matvec(_banded_derivative(lam, n), psi)
+    x = _response(_banded_hamiltonian(p, n), e0, gap, psi,
+                  psi * (psi @ dh_psi) - dh_psi)
+    return QfiBreakdown(total=4.0 * float(x @ x), method="ED", lam=lam,
+                        lambda_value=value, cutoff=n)
 
 
 def fidelity(p: ModelParams, lam: str, delta: float,
@@ -181,14 +132,13 @@ class BiasPeak:
 
 
 def qfi_peak_over_bias(p: ModelParams, eps_grid, lam: str = "g2",
-                       step: float | None = None,
                        cutoff: int | None = None) -> BiasPeak:
     """Maximum of F_Q(lam) over the bias grid; flags an argmax on the boundary."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size < 2:
         raise ValueError("eps_grid must be a 1-D grid with at least two points")
     values = np.array([
-        qfi_ed(p.replace(epsilon=float(e)), lam=lam, step=step, cutoff=cutoff).total
+        qfi_ed(p.replace(epsilon=float(e)), lam=lam, cutoff=cutoff).total
         for e in eps_grid])
     k = int(np.argmax(values))
     return BiasPeak(

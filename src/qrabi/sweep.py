@@ -2,8 +2,8 @@
 
 Grids are embarrassingly parallel; evaluation order is fixed by grid index so
 results are bit-identical regardless of the thread count. Per-point failures
-(cutoff non-convergence, stencil trouble, domain violations) are recorded with
-their reason and leave a NaN, never aborting the rest of the grid.
+(cutoff non-convergence, a degenerate ground state, domain violations) are
+recorded with their reason and leave a NaN, never aborting the rest of the grid.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polaron
-from .fockspace import (CutoffConvergenceError, EigensolverError, converge_cutoff,
-                        gap_ed, ground_state, sigma_z)
+from .fockspace import (GAP_FLOOR_FACTOR, CutoffConvergenceError, EigensolverError,
+                        converge_cutoff, gap_ed, ground_state, sigma_z)
 from .model import CollapseBoundError, ModelParams
-from .qfi_ed import GaugeResidualError, StencilCrossingError, qfi_ed
+from .qfi_ed import DegenerateGroundError, qfi_ed
 
 AXIS_NAMES = ("omega", "Omega", "g1", "g2", "epsilon", "gbar1", "gbar2")
 QUANTITIES = ("sigma_z", "energy", "gap", "qfi_ed", "qfi_analytic")
 POINT_ERRORS = (CollapseBoundError, CutoffConvergenceError, EigensolverError,
-                StencilCrossingError, GaugeResidualError, ValueError)
+                DegenerateGroundError, ValueError)
 
 
 def default_threads() -> int:
@@ -80,7 +80,6 @@ class SweepSpec:
     cutoff: int | None = None        # None: per-point convergence policy
     cutoff_tol: float | None = None
     cutoff_ceiling: int = 4096
-    step: float | None = None        # finite-difference step for qfi_ed
     threads: int | None = None
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ def _evaluate(spec: SweepSpec, p: ModelParams) -> float:
         return ground_state(p, n)[0]
     if spec.quantity == "gap":
         return gap_ed(p, n)
-    return qfi_ed(p, lam=spec.lam, step=spec.step, cutoff=n).total
+    return qfi_ed(p, lam=spec.lam, cutoff=n).total
 
 
 def _point_params(spec: SweepSpec, index: tuple) -> ModelParams:
@@ -214,9 +213,6 @@ def qfi_envelope(spec: SweepSpec) -> EnvelopeResult:
 # ---------------------------------------------------------------------------
 # Preparation time of the probe state
 # ---------------------------------------------------------------------------
-
-GAP_FLOOR_FACTOR = 1e-12
-
 
 @dataclass
 class PtpsResult:

@@ -68,8 +68,7 @@ def test_criterion_3_degeneracy_lifting_limits():
     ok = True
     for Omega in (0.01, 0.001):
         p = dimensionless(Omega)
-        # centered stencil shifted one step inside the g2 >= 0 domain
-        f_ed = qfi_ed(p, lam="g2", edge="shift").total
+        f_ed = qfi_ed(p, lam="g2").total
         expect = (0.125 + 1.0 / (4.0 * Omega ** 2)) / 0.25 ** 2
         rel = abs(f_ed - expect) / expect
         details.append(f"Omega={Omega}: rel {rel:.2e}")

@@ -36,6 +36,13 @@ class TestParsing:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("removed", [["--step", "1e-6"], ["--edge", "shift"]])
+    def test_removed_stencil_options_exit_2(self, removed):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["qfi", *removed])
+        assert exc.value.code == 2
+
+
 class TestQfiCommand:
     def test_degeneracy_lifting_json(self, tmp_path):
         code, out = run(tmp_path, "qfi", "--omega", "1", "--Omega", "0.01",

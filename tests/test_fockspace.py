@@ -54,6 +54,18 @@ def test_banded_matches_dense():
     np.testing.assert_allclose(sl.energies, dense, atol=1e-12)
 
 
+@pytest.mark.parametrize("lam", ["g2", "g1", "epsilon"])
+def test_banded_derivative_matches_dense_difference(lam):
+    # H is linear in each coupling, so dH/d lam = H(lam = 1) - H(lam = 0)
+    p = ModelParams(omega=1.0, Omega=0.05, g1=0.1, g2=0.2, epsilon=0.07)
+    dense = (fs.build_hamiltonian(p.replace(**{lam: 0.2}), 12)
+             - fs.build_hamiltonian(p.replace(**{lam: 0.0}), 12)) / 0.2
+    x = np.random.default_rng(5).standard_normal(dense.shape[0])
+    np.testing.assert_allclose(
+        fs._band_matvec(fs._banded_derivative(lam, 12), x), dense @ x,
+        rtol=1e-12, atol=1e-12)
+
+
 def test_matches_independent_kron_oracle():
     p = ModelParams(omega=1.0, Omega=0.01, g2=0.5 * 0.25)
     e60 = fs.spectrum(p, 60, k=1).energies[0]

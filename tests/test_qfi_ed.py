@@ -1,12 +1,26 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qrabi import polaron
-from qrabi.fockspace import default_cutoff
+from qrabi.fockspace import SpinorFockVector, default_cutoff, spectrum
 from qrabi.model import ModelParams, transition_bias
-from qrabi.qfi_ed import (BiasPeak, GaugeResidualError, StencilCrossingError,
-                          default_step, fidelity, qfi_ed, qfi_peak_over_bias)
+from qrabi.qfi_ed import (BiasPeak, DegenerateGroundError, fidelity, qfi_ed,
+                          qfi_peak_over_bias)
+
+
+def central_difference_qfi(p: ModelParams, lam: str, step: float,
+                           cutoff: int) -> float:
+    """Oracle: F_Q from central differences of sign-aligned ground vectors."""
+    value = getattr(p, lam)
+    v0, vm, vp = (spectrum(p.replace(**{lam: value + d}), cutoff, k=1)
+                  .vectors[0].interleaved() for d in (0.0, -step, step))
+    vm = vm * np.sign(vm @ v0)
+    vp = vp * np.sign(vp @ v0)
+    dc = (vp - vm) / (2.0 * step)
+    return 4.0 * float(dc @ dc - (dc @ v0) ** 2)
 
 
 def two_level_qfi_epsilon(Omega: float, epsilon: float) -> float:
@@ -22,7 +36,7 @@ def degeneracy_lifting_qfi(omega: float, Omega: float) -> float:
 class TestQfiEd:
     def test_degeneracy_lifting_value(self):
         p = ModelParams(omega=1.0, Omega=0.01)
-        br = qfi_ed(p, lam="g2", edge="shift")
+        br = qfi_ed(p, lam="g2")
         assert br.total == pytest.approx(degeneracy_lifting_qfi(1.0, 0.01),
                                          rel=1e-3)
         # and the small-Omega closed form within 2%
@@ -45,13 +59,6 @@ class TestQfiEd:
         assert qfi_ed(p, lam="g2").total == pytest.approx(
             polaron.qfi_analytic(p).total, rel=0.01)
 
-    def test_step_robustness(self):
-        p = ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1)
-        h = default_step(p, "g2")
-        f1 = qfi_ed(p, lam="g2", step=h).total
-        f2 = qfi_ed(p, lam="g2", step=h / 2).total
-        assert abs(f2 - f1) / f1 < 0.01
-
     def test_deterministic(self):
         p = ModelParams.from_dimensionless(1.0, 0.01, 0.1, 0.6, 0.05)
         assert qfi_ed(p, lam="g2").total == qfi_ed(p, lam="g2").total
@@ -64,52 +71,54 @@ class TestQfiEd:
                             g2=rng.uniform(0.05, 0.9) * 0.25,
                             epsilon=rng.uniform(-0.4, 0.4))
             lam = ("g2", "g1", "epsilon")[rng.integers(0, 3)]
-            assert qfi_ed(p, lam=lam).total >= 0.0
+            br = qfi_ed(p, lam=lam)
+            assert br.total >= 0.0
+            assert br.total == pytest.approx(
+                central_difference_qfi(p, lam, 1e-6, br.cutoff), rel=1e-5)
 
-    def test_domain_edge_error_and_shift(self):
-        p = ModelParams(omega=1.0, Omega=0.01)  # g2 = 0
-        with pytest.raises(ValueError, match="domain"):
-            qfi_ed(p, lam="g2", edge="error")
-        br = qfi_ed(p, lam="g2", edge="shift")
-        assert br.lambda_value == pytest.approx(br.step)
+    def test_exact_at_g2_domain_edge(self):
+        p = ModelParams(omega=1.0, epsilon=0.1)  # g2 = 0, Omega = 0
+        br = qfi_ed(p, lam="g2")
+        assert br.total == pytest.approx(2.0, rel=1e-12)
+        assert br.lambda_value == 0.0
+        assert qfi_ed(p, lam="epsilon").total == pytest.approx(0.0, abs=1e-12)
 
-    @staticmethod
-    def _off_center_crossing():
-        # crossing pinned at gbar2 = 0.95, stencil centered at 0.94 with the
-        # crossing between the center and the +h point
-        eps = transition_bias(ModelParams.from_dimensionless(1.0, 0.001, 0.1, 0.95))
-        return ModelParams.from_dimensionless(1.0, 0.001, 0.1, 0.94, eps)
+    def test_matches_difference_oracle_at_crossing(self):
+        # at the bias-driven crossing the ground vector turns over a tiny
+        # coupling range: a stencil with step 1e-5 gT is ~10 % low here
+        p = ModelParams.from_dimensionless(1.0, 1e-4, 0.5, 0.99)
+        p = p.replace(epsilon=transition_bias(p))
+        br = qfi_ed(p, lam="g2")
+        assert br.total == pytest.approx(
+            central_difference_qfi(p, "g2", 2.5e-9, br.cutoff), rel=1e-4)
 
-    def test_crossing_detected_with_frozen_step(self):
-        with pytest.raises((StencilCrossingError, GaugeResidualError)):
-            qfi_ed(self._off_center_crossing(), lam="g2", step=0.02 * 0.25,
-                   max_shrink=0)
-
-    def test_shrink_recovers_near_crossing(self):
-        br = qfi_ed(self._off_center_crossing(), lam="g2", step=0.02 * 0.25,
-                    max_shrink=8)
-        assert br.step < 0.02 * 0.25
-        assert br.total > 0
-
-    def test_default_steps_scale_with_couplings(self):
-        p = ModelParams(omega=2.0, Omega=0.5)
-        assert default_step(p, "g2") == pytest.approx(1e-5 * 0.5)
-        assert default_step(p, "g1") == pytest.approx(1e-5 * 0.5)
-        assert default_step(p, "epsilon") == pytest.approx(2e-5)
+    def test_degenerate_ground_raises(self):
+        with pytest.raises(DegenerateGroundError):
+            qfi_ed(ModelParams(omega=1.0), lam="epsilon")
 
     def test_rejects_unknown_lambda(self):
         with pytest.raises(ValueError):
             qfi_ed(ModelParams(omega=1.0, Omega=0.1), lam="g3")
 
     def test_gauge_invariance_under_global_sign_flips(self, monkeypatch):
-        # flipping every raw eigenvector sign must not change the QFI
+        # flipping the sign of the eigenvectors qfi_ed solves with must not
+        # change the QFI
         import qrabi.qfi_ed as mod
         p = ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1)
         reference = qfi_ed(p, lam="g2").total
-        original = mod._ground_vec
-        monkeypatch.setattr(mod, "_ground_vec",
-                            lambda q, n: -original(q, n))
+        original = mod.spectrum
+        calls = []
+
+        def flipped(q, n, k=2):
+            calls.append(q)
+            sl = original(q, n, k)
+            return dataclasses.replace(sl, vectors=tuple(
+                SpinorFockVector(-v.coeff_plus, -v.coeff_minus, v.cutoff)
+                for v in sl.vectors))
+
+        monkeypatch.setattr(mod, "spectrum", flipped)
         assert qfi_ed(p, lam="g2").total == pytest.approx(reference, rel=1e-12)
+        assert calls == [p]
 
 
 class TestFidelity:

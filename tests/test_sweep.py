@@ -60,6 +60,17 @@ class TestRunSweep:
         assert math.isnan(grid.values[2])
         assert "converge" in grid.failures[(2,)].lower()
 
+    def test_degenerate_ground_recorded(self):
+        # epsilon = 0 leaves the uncoupled spin doublet exactly degenerate
+        spec = sw.SweepSpec(axes=(sw.Axis("epsilon", 0.0, 0.1, 2),),
+                            base=ModelParams(omega=1.0), quantity="qfi_ed",
+                            lam="epsilon")
+        grid = sw.run_sweep(spec)
+        assert math.isnan(grid.values[0])
+        assert grid.failures[(0,)].startswith("DegenerateGroundError")
+        assert grid.values[1] == pytest.approx(0.0, abs=1e-12)
+        assert (1,) not in grid.failures
+
     def test_axis_domain_validated_up_front(self):
         base = ModelParams(omega=1.0, Omega=0.2)
         with pytest.raises(ValueError):
