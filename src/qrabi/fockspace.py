@@ -136,19 +136,23 @@ def _spin_plus_weight(vec: np.ndarray) -> float:
     return float(np.dot(vec[0::2], vec[0::2]))
 
 
+def _eig_banded(p: ModelParams, cutoff: int, k: int, eigvals_only: bool):
+    """Lowest k eigenvalues (and vectors unless `eigvals_only`) of the banded H."""
+    try:
+        return scipy.linalg.eig_banded(
+            _banded_hamiltonian(p, cutoff), lower=True, eigvals_only=eigvals_only,
+            select="i", select_range=(0, k - 1), check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverError(
+            f"banded eigensolve failed at cutoff {cutoff} for {p}: {exc}") from exc
+
+
 def spectrum(p: ModelParams, cutoff: int, k: int = 2) -> SpectrumSlice:
     """Lowest k eigenpairs; gauge-fixed signs, deterministic degeneracy ordering."""
     dim = 2 * (cutoff + 1)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    band = _banded_hamiltonian(p, cutoff)
-    try:
-        energies, vecs = scipy.linalg.eig_banded(
-            band, lower=True, select="i", select_range=(0, k - 1),
-            check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverError(
-            f"banded eigensolve failed at cutoff {cutoff} for {p}: {exc}") from exc
+    energies, vecs = _eig_banded(p, cutoff, k, eigvals_only=False)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     vecs = vecs[:, order]
@@ -219,8 +223,8 @@ def sigma_z(v: SpinorFockVector) -> float:
 
 
 def gap_ed(p: ModelParams, cutoff: int | None = None) -> float:
-    """First excitation gap E1 - E0 >= 0."""
+    """First excitation gap E1 - E0 >= 0, from eigenvalues alone."""
     if cutoff is None:
         cutoff = default_cutoff(p)
-    sl = spectrum(p, cutoff, k=2)
-    return float(sl.energies[1] - sl.energies[0])
+    energies = _eig_banded(p, cutoff, 2, eigvals_only=True)
+    return float(energies[1] - energies[0])

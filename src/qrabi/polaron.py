@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from . import gaussians
 from .model import ModelParams, derived_scales
@@ -273,8 +272,17 @@ def fit_critical_exponent(gbar2, values, window: tuple = (0.9, 0.99)) -> Exponen
     f = values[mask]
     if np.any(f <= 0):
         raise ValueError("all F values in the fit window must be positive")
-    res = scipy.stats.linregress(np.log(1.0 - gbar2[mask]), np.log(f))
-    return ExponentFit(gamma=-float(res.slope), stderr=float(res.stderr),
+    x, y = np.log(1.0 - gbar2[mask]), np.log(f)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("all gbar2 in the fit window are identical")
+    # Least squares with the arithmetic of scipy.stats.linregress, bit for bit.
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (x.size - 2))
+    return ExponentFit(gamma=-float(ssxym / ssxm), stderr=float(stderr),
                        n_points=int(mask.sum()), window=(lo, hi))
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import polaron
 from .fockspace import (GAP_FLOOR_FACTOR, CutoffConvergenceError, EigensolverError,
-                        converge_cutoff, gap_ed, ground_state, sigma_z)
+                        _ground_energy, converge_cutoff, gap_ed, ground_state,
+                        sigma_z)
 from .model import CollapseBoundError, ModelParams
 from .qfi_ed import DegenerateGroundError, qfi_ed
 
@@ -123,7 +124,7 @@ def _evaluate(spec: SweepSpec, p: ModelParams) -> float:
     if spec.quantity == "sigma_z":
         return sigma_z(ground_state(p, n)[1])
     if spec.quantity == "energy":
-        return ground_state(p, n)[0]
+        return _ground_energy(p, n)
     if spec.quantity == "gap":
         return gap_ed(p, n)
     return qfi_ed(p, lam=spec.lam, cutoff=n).total

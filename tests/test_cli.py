@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,15 @@ def test_serialize_nan_as_empty_csv_field():
 def test_serialize_json_nan_as_null():
     blob = cli.serialize(["a"], [[math.nan]], {}, "json")
     assert json.loads(blob)["data"]["rows"][0][0] is None
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # Each CLI call is a fresh process, so its imports are paid on every run.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, qrabi.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qrabi import fockspace as fs
 from qrabi.model import ModelParams
@@ -165,6 +166,39 @@ class TestGap:
         for gbar2 in (0.3, 0.6, 0.9):
             p = ModelParams.from_dimensionless(1.0, 1.0, 0.2, gbar2, 0.33)
             assert fs.gap_ed(p) > 0.1
+
+
+class TestValuesOnlyEigensolve:
+    def test_gap_equals_spectrum_energies(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            p = ModelParams.from_dimensionless(
+                rng.uniform(0.2, 2.0), rng.uniform(0.01, 3.0), rng.uniform(0.0, 1.5),
+                rng.uniform(0.0, 0.95), rng.uniform(-0.5, 0.5))
+            n = int(rng.integers(4, 128))
+            energies = fs.spectrum(p, n, k=2).energies
+            assert fs.gap_ed(p, n) == float(energies[1] - energies[0])
+
+    def test_gap_requests_no_eigenvectors(self, monkeypatch):
+        requests = []
+        solve = scipy.linalg.eig_banded
+
+        def spy(*args, **kwargs):
+            requests.append(kwargs.get("eigvals_only", False))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+        fs.gap_ed(ModelParams(omega=1.0, Omega=0.3, g1=0.2), 32)
+        assert requests == [True]
+
+    @pytest.mark.parametrize("solve", [fs.gap_ed, fs.spectrum])
+    def test_solver_failure_is_typed(self, monkeypatch, solve):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
+        with pytest.raises(fs.EigensolverError, match="cutoff 32"):
+            solve(ModelParams(omega=1.0, Omega=0.3), 32)
 
 
 class TestConvergeCutoff:

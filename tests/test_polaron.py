@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import linregress
 
 from qrabi import polaron
 from qrabi.model import ModelParams, derived_scales, transition_bias
@@ -236,6 +237,38 @@ class TestExponentFit:
             fits.append(polaron.fit_critical_exponent(g, f, window).gamma)
         assert abs(fits[-1] - 1.75) < 0.05
         assert abs(fits[-1] - 1.75) < abs(fits[0] - 1.75)
+
+    def test_matches_linregress_oracle_bitwise(self):
+        rng = np.random.default_rng(41)
+        samples = []
+        for _ in range(200):
+            g = np.sort(rng.uniform(0.9, 0.99, int(rng.integers(8, 41))))
+            noise = rng.normal(scale=10.0 ** rng.uniform(-8.0, 0.0), size=g.size)
+            samples.append((g, rng.uniform(0.1, 10.0) * (1 - g) ** -rng.uniform(0.5, 4.0)
+                            * np.exp(noise)))
+        g = polaron.exponent_samples()
+        samples.append((g, (1 - g) ** -1.75))
+        for g, f in samples:
+            fit = polaron.fit_critical_exponent(g, f)
+            ref = linregress(np.log(1.0 - g), np.log(f))
+            assert np.float64(fit.gamma).tobytes() == np.float64(-ref.slope).tobytes()
+            assert np.float64(fit.stderr).tobytes() == np.float64(ref.stderr).tobytes()
+
+    def test_constant_values_match_linregress(self):
+        g = polaron.exponent_samples()
+        f = np.ones(g.size)     # ln F = 0 exactly: zero variance, undefined r
+        fit = polaron.fit_critical_exponent(g, f)
+        ref = linregress(np.log(1.0 - g), np.log(f))
+        assert fit.gamma == -ref.slope == 0.0
+        assert math.isnan(fit.stderr) and math.isnan(ref.stderr)
+
+    def test_identical_gbar2_rejected_like_linregress(self):
+        g = np.full(12, 0.95)
+        f = (1 - g) ** -2.0
+        with pytest.raises(ValueError):
+            linregress(np.log(1.0 - g), np.log(f))
+        with pytest.raises(ValueError):
+            polaron.fit_critical_exponent(g, f)
 
     def test_rejects_sparse_window(self):
         g = np.linspace(0.9, 0.99, 5)

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qrabi import sweep as sw
-from qrabi.fockspace import default_cutoff, ground_state, sigma_z
+from qrabi.fockspace import default_cutoff, ground_state, sigma_z, spectrum
 from qrabi.model import ModelParams, low_freq_boundary, transition_bias
 from qrabi.qfi_ed import qfi_ed
 
@@ -49,6 +50,21 @@ class TestRunSweep:
                                       threads=4))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, c.values)
+
+    def test_energy_equals_spectrum_energy(self):
+        rng = np.random.default_rng(37)
+        for _ in range(6):
+            base = ModelParams(omega=rng.uniform(0.2, 2.0), Omega=rng.uniform(0.01, 3.0),
+                               epsilon=rng.uniform(-0.5, 0.5))
+            n = int(rng.integers(4, 128))
+            axes = (sw.Axis("gbar1", *np.sort(rng.uniform(0.0, 1.5, 2)), 3),
+                    sw.Axis("gbar2", *np.sort(rng.uniform(0.0, 0.95, 2)), 3))
+            grid = sw.run_sweep(sw.SweepSpec(axes=axes, base=base, quantity="energy",
+                                             cutoff=n))
+            for (i, x), (j, y) in itertools.product(enumerate(axes[0].values()),
+                                                    enumerate(axes[1].values())):
+                p = sw.apply_axis(sw.apply_axis(base, "gbar1", x), "gbar2", y)
+                assert grid.values[i, j] == spectrum(p, n, k=1).energies[0]
 
     def test_failures_recorded_not_raised(self):
         base = ModelParams(omega=1.0, Omega=0.2, epsilon=0.1)
