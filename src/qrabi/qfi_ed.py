@@ -1,4 +1,4 @@
-"""Ground-state QFI and fidelity from exact eigenvectors.
+"""Ground-state QFI by linear response, and fidelity from exact eigenvectors.
 
 The QFI is exact linear response at a fixed cutoff (the Sternheimer / DFPT
 construction, Baroni et al., RMP 73, 515 (2001)). dH/d lambda is banded, so
@@ -7,24 +7,39 @@ construction, Baroni et al., RMP 73, 515 (2001)). dH/d lambda is banded, so
 
 with x orthogonal to psi0: x is d psi0/d lambda of the truncated problem,
 and F_Q/4 is the fidelity susceptibility (You, Li & Gu, PRE 76, 022101 (2007)).
+It takes one eigenvalue-only solve for E0 and E1 and one banded Cholesky
+factor of H - E0 + RESPONSE_SHIFT (E1 - E0). Shifted inverse iteration on that
+factor gives psi0 (Golub & Van Loan, Matrix Computations, sec. 8.2), and the
+same factor solves for x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .fockspace import (GAP_FLOOR_FACTOR, _band_matvec, _banded_derivative,
-                        _banded_hamiltonian, default_cutoff, spectrum)
+from .fockspace import (GAP_FLOOR_FACTOR, EigensolverError, _band_matvec,
+                        _banded_derivative, _banded_hamiltonian, _eig_banded,
+                        default_cutoff, spectrum)
 from .model import ModelParams
 
 LAMBDA_NAMES = ("g2", "g1", "epsilon")
-# Shift of the factored H - E0, as a fraction of the gap: each refinement step
-# multiplies the error by less than this factor, so four steps reach round-off.
+# Shift of the factored H - E0, as a fraction of the gap: each inverse-iteration
+# or refinement step multiplies the error by at most
+# RESPONSE_SHIFT / (1 + RESPONSE_SHIFT), so four refinements reach round-off.
 RESPONSE_SHIFT = 1e-3
 RESPONSE_REFINEMENTS = 4
+# Twice the inverse-iteration steps that shrink an error of one to round-off at
+# that rate; the first half absorbs a start vector nearly orthogonal to psi0.
+INVERSE_ITERATION_CAP = 2 * math.ceil(
+    math.log(np.finfo(float).eps) / math.log(RESPONSE_SHIFT / (1.0 + RESPONSE_SHIFT)))
+# ||(H - E0) psi0|| at round-off, in units of machine epsilon times ||H||_inf.
+# The residual settles at the error of E0 from eig_banded, up to ~3 of these
+# units on random points at cutoffs up to 4096.
+ROUNDOFF_RESIDUAL = 64.0
 
 
 class DegenerateGroundError(RuntimeError):
@@ -64,19 +79,39 @@ def _ground_vec(p: ModelParams, cutoff: int) -> np.ndarray:
     return spectrum(p, cutoff, k=1).vectors[0].interleaved()
 
 
-def _response(band: np.ndarray, e0: float, gap: float, psi: np.ndarray,
+def _inverse_iteration(singular: np.ndarray, factor: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """psi0 by inverse iteration with the factor of H - E0 + RESPONSE_SHIFT gap.
+
+    Steps until ||(H - E0) psi|| stops shrinking (by at least half; an
+    unconverged step shrinks it about a thousandfold), which is where it
+    reaches round-off. Raises EigensolverError when the residual it settles
+    at, or reaches after INVERSE_ITERATION_CAP steps, is above `tol`.
+    """
+    psi = np.random.default_rng(0).standard_normal(singular.shape[1])
+    last = math.inf
+    for _ in range(INVERSE_ITERATION_CAP):
+        psi = scipy.linalg.cho_solve_banded((factor, True), psi, check_finite=False)
+        psi /= np.linalg.norm(psi)
+        residual = float(np.linalg.norm(_band_matvec(singular, psi)))
+        if residual >= 0.5 * last:
+            break
+        last = residual
+    if residual > tol:
+        raise EigensolverError(
+            f"inverse iteration for psi0 stopped at residual {residual:.3e} "
+            f"above round-off {tol:.3e}")
+    return psi
+
+
+def _response(singular: np.ndarray, factor: np.ndarray, psi: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
     """x orthogonal to psi with (H - E0) x = rhs, for rhs orthogonal to psi.
 
-    H - E0 is singular (psi spans its null space), so it is not factored
-    directly: the positive-definite H - E0 + RESPONSE_SHIFT * gap is, and the
-    solution is refined against H - E0 with psi projected out after each step.
+    H - E0 (`singular`) is singular (psi spans its null space), so it is not
+    factored directly: the shifted matrix is, and the solution is refined
+    against H - E0 with psi projected out after each step.
     """
-    singular = band.copy()
-    singular[0] -= e0
-    shifted = singular.copy()
-    shifted[0] += RESPONSE_SHIFT * gap
-    factor = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
     x = np.zeros_like(rhs)
     for _ in range(RESPONSE_REFINEMENTS + 1):
         x += scipy.linalg.cho_solve_banded((factor, True),
@@ -88,23 +123,29 @@ def _response(band: np.ndarray, e0: float, gap: float, psi: np.ndarray,
 
 def qfi_ed(p: ModelParams, lam: str = "g2",
            cutoff: int | None = None) -> QfiBreakdown:
-    """F_Q(lambda = p.<lam>) by linear response; one eigensolve at one cutoff.
+    """F_Q(lambda = p.<lam>) by linear response; one eigenvalue solve at one cutoff.
 
-    Raises DegenerateGroundError when E1 - E0 < GAP_FLOOR_FACTOR * omega.
+    Raises DegenerateGroundError when E1 - E0 < GAP_FLOOR_FACTOR * omega, and
+    EigensolverError when psi0 does not converge to round-off.
     """
     value = _lambda_value(p, lam)
     n = default_cutoff(p) if cutoff is None else cutoff
-    sl = spectrum(p, n, k=2)
-    e0 = float(sl.energies[0])
-    gap = float(sl.energies[1]) - e0
+    e0, e1 = (float(e) for e in _eig_banded(p, n, 2, eigvals_only=True))
+    gap = e1 - e0
     if gap < GAP_FLOOR_FACTOR * p.omega:
         raise DegenerateGroundError(
             f"gap E1 - E0 = {gap:.3e} below {GAP_FLOOR_FACTOR:g} omega at {p}, "
             f"cutoff {n}: degenerate ground state, F_Q({lam}) undefined")
-    psi = sl.vectors[0].interleaved()
+    singular = _banded_hamiltonian(p, n)
+    tol = ROUNDOFF_RESIDUAL * np.finfo(float).eps * float(
+        np.max(_band_matvec(np.abs(singular), np.ones(singular.shape[1]))))
+    singular[0] -= e0
+    shifted = singular.copy()
+    shifted[0] += RESPONSE_SHIFT * gap
+    factor = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
+    psi = _inverse_iteration(singular, factor, tol)
     dh_psi = _band_matvec(_banded_derivative(lam, n), psi)
-    x = _response(_banded_hamiltonian(p, n), e0, gap, psi,
-                  psi * (psi @ dh_psi) - dh_psi)
+    x = _response(singular, factor, psi, psi * (psi @ dh_psi) - dh_psi)
     return QfiBreakdown(total=4.0 * float(x @ x), method="ED", lam=lam,
                         lambda_value=value, cutoff=n)
 

@@ -243,19 +243,30 @@ def _coupling_params(p: ModelParams, coupling: str, gbar: float) -> ModelParams:
 def locate_qfi_peak(p: ModelParams, coupling: str, scan: tuple,
                     points: int = 25, refinements: int = 2,
                     cutoff: int | None = None) -> float:
-    """gbar of the F_Q(lambda=coupling) maximum by scan plus local refinement."""
+    """gbar of the F_Q(lambda=coupling) maximum by scan plus local refinement.
+
+    Every point uses one cutoff: `cutoff`, or else the one converged at the
+    largest coupling scan[1], where the Fock support is widest. Its
+    CutoffConvergenceError propagates.
+    """
     lo, hi = scan
+    if cutoff is None:
+        cutoff = converge_cutoff(_coupling_params(p, coupling, hi))
+    values = {}
+
+    def qfi(g):
+        if g not in values:
+            q = _coupling_params(p, coupling, g)
+            try:
+                values[g] = qfi_ed(q, lam=coupling, cutoff=cutoff).total
+            except POINT_ERRORS:
+                values[g] = -math.inf
+        return values[g]
+
     best = None
     for _ in range(refinements + 1):
         grid = np.linspace(lo, hi, points)
-        vals = []
-        for g in grid:
-            q = _coupling_params(p, coupling, float(g))
-            try:
-                vals.append(qfi_ed(q, lam=coupling, cutoff=cutoff).total)
-            except POINT_ERRORS:
-                vals.append(-math.inf)
-        k = int(np.argmax(vals))
+        k = int(np.argmax([qfi(float(g)) for g in grid]))
         best = float(grid[k])
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, points - 1)]

@@ -182,6 +182,20 @@ class TestPtpsCommand:
         assert payload["meta"]["diverged"] is False
         assert 0 < payload["meta"]["T"] < 10
 
+    def test_unconverged_peak_scan_exits_1(self, tmp_path, monkeypatch, capsys):
+        from qrabi import fockspace
+        original = fockspace._ground_energy
+
+        def energy(q, n):  # never converges above the peak (gbar2 0.99104): at the scan top
+            return float(n) if q.g2 > 0.992 * q.omega / 4.0 else original(q, n)
+
+        monkeypatch.setattr(fockspace, "_ground_energy", energy)
+        code, out = run(tmp_path, "ptps", "--Omega", "0.01", "--g1", "0.1gs",
+                        "--epsilon", "0.33", "--coupling", "g2")
+        assert code == 1
+        assert not out.exists()
+        assert "cutoff ceiling 4096" in capsys.readouterr().err
+
 
 class TestFitExponentCommand:
     def test_analytic_xi_exponent(self, tmp_path):

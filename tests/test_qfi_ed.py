@@ -1,11 +1,11 @@
 
-import dataclasses
-
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qrabi import polaron
-from qrabi.fockspace import SpinorFockVector, default_cutoff, spectrum
+from qrabi.fockspace import (EigensolverError, _band_matvec, _banded_derivative,
+                             _banded_hamiltonian, default_cutoff, spectrum)
 from qrabi.model import ModelParams, transition_bias
 from qrabi.qfi_ed import (BiasPeak, DegenerateGroundError, fidelity, qfi_ed,
                           qfi_peak_over_bias)
@@ -21,6 +21,26 @@ def central_difference_qfi(p: ModelParams, lam: str, step: float,
     vp = vp * np.sign(vp @ v0)
     dc = (vp - vm) / (2.0 * step)
     return 4.0 * float(dc @ dc - (dc @ v0) ** 2)
+
+
+def vector_solve_qfi(p: ModelParams, lam: str, cutoff: int) -> float:
+    """Oracle: linear-response F_Q with E0, E1 and psi0 from LAPACK eigenvectors."""
+    sl = spectrum(p, cutoff, k=2)
+    e0 = float(sl.energies[0])
+    gap = float(sl.energies[1]) - e0
+    psi = sl.vectors[0].interleaved()
+    dh_psi = _band_matvec(_banded_derivative(lam, cutoff), psi)
+    rhs = psi * (psi @ dh_psi) - dh_psi
+    singular = _banded_hamiltonian(p, cutoff)
+    singular[0] -= e0
+    shifted = singular.copy()
+    shifted[0] += 1e-3 * gap
+    factor = scipy.linalg.cholesky_banded(shifted, lower=True)
+    x = np.zeros_like(rhs)
+    for _ in range(5):
+        x += scipy.linalg.cho_solve_banded((factor, True), rhs - _band_matvec(singular, x))
+        x -= psi * (psi @ x)
+    return 4.0 * float(x @ x)
 
 
 def two_level_qfi_epsilon(Omega: float, epsilon: float) -> float:
@@ -101,24 +121,64 @@ class TestQfiEd:
             qfi_ed(ModelParams(omega=1.0, Omega=0.1), lam="g3")
 
     def test_gauge_invariance_under_global_sign_flips(self, monkeypatch):
-        # flipping the sign of the eigenvectors qfi_ed solves with must not
-        # change the QFI
+        # negating the ground vector qfi_ed solves with must not change the QFI
         import qrabi.qfi_ed as mod
         p = ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1)
         reference = qfi_ed(p, lam="g2").total
-        original = mod.spectrum
+        original = mod._inverse_iteration
         calls = []
 
-        def flipped(q, n, k=2):
-            calls.append(q)
-            sl = original(q, n, k)
-            return dataclasses.replace(sl, vectors=tuple(
-                SpinorFockVector(-v.coeff_plus, -v.coeff_minus, v.cutoff)
-                for v in sl.vectors))
+        def flipped(*args):
+            calls.append(args)
+            return -original(*args)
 
-        monkeypatch.setattr(mod, "spectrum", flipped)
+        monkeypatch.setattr(mod, "_inverse_iteration", flipped)
         assert qfi_ed(p, lam="g2").total == pytest.approx(reference, rel=1e-12)
-        assert calls == [p]
+        assert len(calls) == 1
+
+    def test_requests_no_eigenvectors(self, monkeypatch):
+        requests = []
+        solve = scipy.linalg.eig_banded
+
+        def spy(*args, **kwargs):
+            requests.append(kwargs.get("eigvals_only", False))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+        for lam in ("g2", "g1", "epsilon"):
+            qfi_ed(ModelParams(omega=1.0, Omega=0.3, g1=0.2, g2=0.1), lam=lam, cutoff=32)
+        assert requests == [True, True, True]
+
+    def test_matches_vector_solve_oracle(self):
+        rng = np.random.default_rng(47)
+        points = []
+        for _ in range(120):
+            p = ModelParams.from_dimensionless(
+                rng.choice([1.0, 0.01]), 10.0 ** rng.uniform(-4.0, 0.5),
+                rng.uniform(0.0, 1.6), rng.uniform(0.0, 0.97), 0.0)
+            p = p.replace(epsilon=transition_bias(p) * rng.uniform(0.5, 1.5))
+            points.append((p, ("g2", "g1", "epsilon")[rng.integers(0, 3)],
+                           int(rng.choice([8, 32, 128, 256]))))
+        crossing = ModelParams.from_dimensionless(1.0, 1e-4, 0.5, 0.99)
+        crossing = crossing.replace(epsilon=transition_bias(crossing))
+        points.append((crossing, "g2", default_cutoff(crossing)))
+        for p, lam, n in points:
+            assert qfi_ed(p, lam=lam, cutoff=n).total == pytest.approx(
+                vector_solve_qfi(p, lam, n), rel=1e-10), (p, lam, n)
+
+    def test_unconverged_ground_vector_raises(self, monkeypatch):
+        # E0 one micro-omega low: inverse iteration still converges to psi0,
+        # but ||(H - E0) psi|| settles far above round-off
+        import qrabi.qfi_ed as mod
+        original = mod._eig_banded
+
+        def low(*args, **kwargs):
+            return original(*args, **kwargs) - 1e-6
+
+        monkeypatch.setattr(mod, "_eig_banded", low)
+        with pytest.raises(EigensolverError, match="round-off"):
+            qfi_ed(ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1),
+                   lam="g2", cutoff=64)
 
 
 class TestFidelity:

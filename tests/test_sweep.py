@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qrabi import fockspace as fs
 from qrabi import sweep as sw
 from qrabi.fockspace import default_cutoff, ground_state, sigma_z, spectrum
 from qrabi.model import ModelParams, low_freq_boundary, transition_bias
@@ -233,6 +234,72 @@ class TestPtps:
         with pytest.raises(ValueError):
             sw.ptps(ModelParams(omega=1.0, Omega=0.1), coupling="epsilon",
                     gbar_max=0.5, gap_fn=lambda g: 1.0)
+
+
+def per_point_peak(p, coupling, scan, points=25, refinements=2):
+    """Oracle: the peak scan with each point at its own default_cutoff."""
+    lo, hi = scan
+    for _ in range(refinements + 1):
+        grid = np.linspace(lo, hi, points)
+        vals = []
+        for g in grid:
+            q = sw._coupling_params(p, coupling, float(g))
+            try:
+                vals.append(qfi_ed(q, lam=coupling, cutoff=default_cutoff(q)).total)
+            except sw.POINT_ERRORS:
+                vals.append(-math.inf)
+        k = int(np.argmax(vals))
+        best = float(grid[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return best
+
+
+class TestLocateQfiPeak:
+    @pytest.mark.parametrize("p, coupling, scan, expect", [
+        # README ptps example
+        (ModelParams.from_dimensionless(1.0, 0.01, 0.1, 0.0, 0.33), "g2",
+         (0.05, 0.995), 0.99103515625),
+        # acceptance criterion 7, linear model
+        (ModelParams(omega=0.01, Omega=1.0), "g1", (0.8, 1.3), None),
+    ])
+    def test_one_cutoff_matches_per_point_policy(self, monkeypatch, p, coupling,
+                                                 scan, expect):
+        converged, evaluated = [], []
+        converge, evaluate = sw.converge_cutoff, sw.qfi_ed
+
+        def counted_converge(*args, **kwargs):
+            converged.append(args)
+            return converge(*args, **kwargs)
+
+        def recorded_qfi(q, lam, cutoff):
+            evaluated.append((q, cutoff))
+            return evaluate(q, lam=lam, cutoff=cutoff)
+
+        monkeypatch.setattr(sw, "converge_cutoff", counted_converge)
+        monkeypatch.setattr(sw, "qfi_ed", recorded_qfi)
+        best = sw.locate_qfi_peak(p, coupling, scan)
+        monkeypatch.undo()
+        assert len(converged) == 1
+        cutoffs = {n for _, n in evaluated}
+        assert len(cutoffs) == 1
+        (cutoff,) = cutoffs
+        assert all(cutoff >= default_cutoff(q) for q, _ in evaluated)
+        # each gbar is evaluated once, though refinements revisit bracket points
+        assert len({q for q, _ in evaluated}) == len(evaluated) < 75
+        assert best == per_point_peak(p, coupling, scan)
+        if expect is not None:
+            assert best == expect
+
+    def test_unconverged_top_point_raises(self, monkeypatch):
+        original = fs._ground_energy
+
+        def energy(q, n):  # never converges above the peak (gbar2 0.99104): at the scan top
+            return float(n) if q.g2 > 0.992 * q.omega / 4.0 else original(q, n)
+
+        monkeypatch.setattr(fs, "_ground_energy", energy)
+        p = ModelParams.from_dimensionless(1.0, 0.01, 0.1, 0.0, 0.33)
+        with pytest.raises(sw.CutoffConvergenceError, match="cutoff ceiling 4096"):
+            sw.locate_qfi_peak(p, "g2", (0.05, 0.995))
 
 
 class TestAnalyticCompare:
