@@ -1,17 +1,24 @@
 """Finite-Omega variational ground state: polaron + anti-polaron per spin (n_p = 2).
 
 Each spin component carries two Gaussian packets; the twelve ansatz parameters
-are the four (xi, center) shape pairs plus four weights. For fixed shapes the
-weights solve a 4x4 generalized symmetric eigenproblem, so the optimization
-runs over the eight shape parameters only, with the exact Hellmann-Feynman
-gradient dE/dtheta = v^T (dH/dtheta - E dS/dtheta) v assembled from the
-closed-form Gaussian matrix elements. L-BFGS-B does the descent and a damped
-Newton polish on the gradient drives its norm below 1e-9 omega.
+are the four (ln xi, center) shape pairs theta plus four weights c. For fixed
+shapes the weights solve the 4x4 generalized symmetric eigenproblem (H, S), so
+E(theta) is its lowest eigenvalue. Its gradient and Hessian are exact: the
+closed-form Gaussian elements of each packet's theta derivatives to second
+order give dH/dtheta and dS/dtheta, and second-order perturbation theory over
+all four eigenpairs gives the Hessian. A trust-region Newton method on that
+Hessian (Nocedal & Wright, Numerical Optimization, ch. 4) drives the gradient
+norm below 1e-9 omega.
 
-The QFI decomposition tracks per-packet parameter derivatives across a
-re-optimized g2 stencil and assembles the six components (xi, x, rho and the
-three mixed ones) from closed-form cross-overlaps; intra-polaron mixed
-integrals vanish identically, so the mixed components are purely inter-packet.
+The QFI for lambda = g2 needs the response of the optimum. g2 enters H only
+through sigma_z (a^dag + a)^2 = 2 sigma_z x^2, so g2 is treated as a ninth
+parameter of the same expansion. At grad E = 0 the implicit-function theorem
+gives dtheta/dg2 = -(d2E/dtheta2)^-1 d(grad E)/dg2 (Blondel et al., NeurIPS
+2022), and the perturbed eigenproblem gives dc/dg2 (coupled-perturbed
+Hartree-Fock, Gerratt & Mills, JCP 49, 1719 (1968)). The six components (xi,
+x, rho and the three mixed ones) are assembled from closed-form cross-overlaps;
+intra-polaron mixed integrals vanish identically, so the mixed components are
+purely inter-packet.
 """
 
 from __future__ import annotations
@@ -21,23 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import gaussians
-from .gaussians import GaussPair, poly_mul
+from .gaussians import GaussPair
 from .model import ModelParams, derived_scales
 from .polaron import GaussianPacket, PolaronAnsatz
 from .qfi_ed import QfiBreakdown
 
 GRAD_TOL_FACTOR = 1e-9   # convergence: |grad| < 1e-9 * omega
+# Relative size at which a computed quantity is round-off: a step's predicted
+# energy change (against |E| + omega), a Hessian eigenvalue (against the
+# largest) and the <psi'|psi> residual (against |psi'|). The measured noise of
+# the energy is below 4 eps and of the smallest Hessian eigenvalues below 70 eps.
+ROUNDOFF = 2.0 ** 10 * np.finfo(float).eps
+MAX_NEWTON_STEPS = 200
 
 
 class VariationalError(RuntimeError):
-    """Optimization failed to converge or packets collapsed onto each other."""
-
-
-class PacketTrackingError(RuntimeError):
-    """Packet identities could not be followed across the finite-difference stencil."""
+    """Optimization failed to converge, packets collapsed, or the minimum is not isolated."""
 
 
 @dataclass(frozen=True)
@@ -49,24 +57,8 @@ class MultiAnsatz:
     grad_norm: float
 
 
-@dataclass(frozen=True)
-class _SpinPotential:
-    varpi: float
-    bottom: float
-    const: float
-
-
-def _spin_potentials(p: ModelParams) -> tuple[_SpinPotential, _SpinPotential]:
-    sc = derived_scales(p)
-    plus = _SpinPotential(sc.varpi_plus, -sc.b_plus,
-                          sc.d_plus - p.epsilon - 0.5 * p.omega)
-    minus = _SpinPotential(sc.varpi_minus, sc.b_minus,
-                           sc.d_minus + p.epsilon - 0.5 * p.omega)
-    return plus, minus
-
-
 # theta layout: [lnxi, m] x 2 packets x 2 spins -> 8 entries,
-# spin-plus packets first. Weight index = 2*spin + packet.
+# spin-plus packets first. Packet (weight) index k = 2*spin + packet.
 
 def _unpack(theta: np.ndarray) -> list:
     packets = []
@@ -75,91 +67,114 @@ def _unpack(theta: np.ndarray) -> list:
     return packets
 
 
-def _h_poly(pair: GaussPair, pot: _SpinPotential, omega: float) -> np.ndarray:
-    lin = pair.x_minus(pot.bottom)
-    poly = gaussians.poly_add(0.5 * omega * pair.p2_poly(),
-                              0.5 * omega * pot.varpi ** 2 * poly_mul(lin, lin))
-    return gaussians.poly_add(poly, np.array([pot.const]))
+# Derivative rows of a packet: phi, d/dlnxi, d/dm, d2/dlnxi2, d2/dlnxi dm, d2/dm2.
+_PACKET = np.repeat(np.arange(4), 2)   # packet moved by each theta entry
+_ROW = np.tile([1, 2], 4)              # its first-derivative row
+_SECOND = np.array([[3, 4], [4, 5]])   # second-derivative row of a (row, row) pair
 
 
-def _build_matrices(theta: np.ndarray, p: ModelParams):
-    """H and S (4x4) over the packet basis in the order (+,1), (+,2), (-,1), (-,2)."""
+def _packet_rows(xi: float, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor polynomials in x - m of a packet's derivative rows, and of their d/dx."""
+    own = GaussPair(xi, m, xi, m)  # its u is x - m
+    dxi = xi * own.dxi_poly("a")
+    polys = (np.ones(1), dxi, own.dm_poly("a"),
+             gaussians.poly_add(xi * xi * own.dxi2_poly("a"), dxi),
+             xi * own.dxi_dm_poly("a"), own.dm2_poly("a"))
+    rows = np.zeros((6, 5))
+    for i, poly in enumerate(polys):
+        rows[i, : len(poly)] = poly
+    return rows, np.array([own.ddx_poly(r, "a") for r in rows])
+
+
+def _elements(theta: np.ndarray, p: ModelParams):
+    """<D phi_a| O |D' phi_b> for O = 1, H and dH/dg2, as (4, 4, 6, 6) arrays.
+
+    Indices: packet a, packet b, derivative row of a, derivative row of b. The
+    kinetic term uses <P phi_a| p^2 |Q phi_b> = <(P phi_a)'|(Q phi_b)'>.
+    """
     packets = _unpack(theta)
-    pots = _spin_potentials(p)
-    h = np.zeros((4, 4))
-    s = np.zeros((4, 4))
-    for spin in range(2):
-        pot = pots[spin]
-        for a in range(2):
-            for b in range(a, 2):
-                ia, ib = 2 * spin + a, 2 * spin + b
-                xa, ma = packets[ia]
-                xb, mb = packets[ib]
-                pair = GaussPair(xa, ma, xb, mb)
-                s[ia, ib] = s[ib, ia] = pair.overlap
-                val = pair.moment(_h_poly(pair, pot, p.omega))
-                h[ia, ib] = h[ib, ia] = val
-    for a in range(2):
-        for b in range(2):
-            xa, ma = packets[a]
-            xb, mb = packets[2 + b]
-            t = 0.5 * p.Omega * gaussians.overlap(xa, ma, xb, mb)
-            h[a, 2 + b] = h[2 + b, a] = t
-    return h, s
+    own = [_packet_rows(*pk) for pk in packets]
+    s_el, h_el, x_el = (np.zeros((4, 4, 6, 6)) for _ in range(3))
+    for a in range(4):
+        for b in range(a, 4):
+            pair = GaussPair(*packets[a], *packets[b])
+            ma, mb = packets[a][1], packets[b][1]
+            rows_a, rows_b = pair.in_frame(own[a][0], ma), pair.in_frame(own[b][0], mb)
+            if a // 2 == b // 2:
+                sz = 1.0 if a < 2 else -1.0
+                # spin branch potential (omega/2 + 2 sz g2) x^2 + sz sqrt(2) g1 x
+                # - sz epsilon - omega/2, and its g2-derivative 2 sz x^2
+                v, dv = pair.in_frame(np.array([
+                    [-sz * p.epsilon - 0.5 * p.omega, sz * math.sqrt(2.0) * p.g1,
+                     0.5 * p.omega + 2.0 * sz * p.g2],
+                    [0.0, 0.0, 2.0 * sz]]), 0.0)
+                s_ab = pair.gram(rows_a, rows_b)
+                h_ab = (0.5 * p.omega * pair.gram(pair.in_frame(own[a][1], ma),
+                                                  pair.in_frame(own[b][1], mb))
+                        + pair.gram(rows_a, rows_b, v))
+                x_ab = pair.gram(rows_a, rows_b, dv)
+            else:
+                s_ab = x_ab = np.zeros((6, 6))
+                h_ab = 0.5 * p.Omega * pair.gram(rows_a, rows_b)
+            for out, block in ((s_el, s_ab), (h_el, h_ab), (x_el, x_ab)):
+                out[a, b] = block
+                out[b, a] = block.T
+    return s_el, h_el, x_el
 
 
-def _lowest_pair(h: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+@dataclass(frozen=True)
+class _Expansion:
+    """E at theta with its exact derivatives in (theta, g2), g2 the ninth entry."""
+
+    energy: float
+    weights: np.ndarray    # lowest eigenvector c, c^T S c = 1, dominant entry > 0
+    grad: np.ndarray       # (9,)  dE
+    hess: np.ndarray       # (9, 9) d2E
+    response: np.ndarray   # (9, 4) dc at fixed other parameters
+    metric: np.ndarray     # (8, 8) <d_i psi|d_j psi> at fixed weights
+
+
+def _expand(theta: np.ndarray, p: ModelParams) -> _Expansion:
+    """Energy, gradient, Hessian and weight response by perturbation theory.
+
+    With A_i = dH_i - E dS_i, w_i = A_i c and the other eigenpairs (E_n, c_n),
+    dE_i = c.w_i, dc_i = sum_n c_n (c_n.w_i)/(E - E_n) - (c^T dS_i c/2) c, and
+    d2E_ij = c^T (d2H_ij - E d2S_ij) c - dE_i c^T dS_j c - dE_j c^T dS_i c
+             + 2 sum_n (c_n.w_i)(c_n.w_j)/(E - E_n).
+    """
+    s_el, h_el, x_el = _elements(theta, p)
+    s = s_el[:, :, 0, 0]
     if np.linalg.eigvalsh(s).min() < 1e-12:
         raise VariationalError(
             "packet overlap matrix is singular: two packets collapsed onto each other")
-    w, v = scipy.linalg.eigh(h, s)
-    return float(w[0]), v[:, 0]
-
-
-def _energy_and_grad(theta: np.ndarray, p: ModelParams):
-    packets = _unpack(theta)
-    pots = _spin_potentials(p)
-    h, s = _build_matrices(theta, p)
-    energy, v = _lowest_pair(h, s)
-
-    grad = np.zeros(8)
-    for k in range(4):
-        spin, a = divmod(k, 2)
-        pot = pots[spin]
-        xa, ma = packets[k]
-        dh = np.zeros((4, 4))
-        ds = np.zeros((4, 4))
-        for kind in range(2):  # 0: d/dxi, 1: d/dm
-            dh[:] = 0.0
-            ds[:] = 0.0
-            # same-spin rows: bra derivative against every same-spin packet
-            for b in range(2):
-                ib = 2 * spin + b
-                xb, mb = packets[ib]
-                pair = GaussPair(xa, ma, xb, mb)
-                bra = pair.dxi_poly("a") if kind == 0 else pair.dm_poly("a")
-                dsv = pair.moment(bra)
-                dhv = pair.moment(poly_mul(bra, _h_poly(pair, pot, p.omega)))
-                ia = k
-                if ib == ia:
-                    dh[ia, ia] = 2.0 * dhv
-                    ds[ia, ia] = 2.0 * dsv
-                else:
-                    dh[ia, ib] = dh[ib, ia] = dhv
-                    ds[ia, ib] = ds[ib, ia] = dsv
-            # spin-flip block
-            for b in range(2):
-                ib = 2 * (1 - spin) + b
-                xb, mb = packets[ib]
-                pair = GaussPair(xa, ma, xb, mb)
-                bra = pair.dxi_poly("a") if kind == 0 else pair.dm_poly("a")
-                tv = 0.5 * p.Omega * pair.moment(bra)
-                dh[k, ib] = dh[ib, k] = tv
-            g = float(v @ (dh - energy * ds) @ v)
-            if kind == 0:
-                g *= xa  # chain rule for ln xi
-            grad[2 * k + kind] = g
-    return energy, grad, v
+    energies, vecs = scipy.linalg.eigh(h_el[:, :, 0, 0], s)
+    e, c = float(energies[0]), vecs[:, 0]
+    if c[int(np.argmax(np.abs(c)))] < 0:
+        c = -c  # canonical global sign: dominant weight positive
+    a_el = h_el - e * s_el
+    k, d = _PACKET, _ROW
+    ck = c[k]
+    w = np.empty((9, 4))
+    w[:8] = a_el[k, :, d, 0] * ck[:, None]
+    w[np.arange(8), k] += a_el[k, :, d, 0] @ c
+    w[8] = x_el[:, :, 0, 0] @ c
+    grad = w @ c
+    ds = np.zeros(9)
+    ds[:8] = 2.0 * ck * (s_el[k, :, d, 0] @ c)
+    explicit = np.zeros((9, 9))
+    explicit[:8, :8] = 2.0 * np.outer(ck, ck) * a_el[k[:, None], k, d[:, None], d]
+    for packet in range(4):
+        block = slice(2 * packet, 2 * packet + 2)
+        explicit[block, block] += 2.0 * c[packet] * (a_el[packet, :, _SECOND, 0] @ c)
+    explicit[:8, 8] = explicit[8, :8] = 2.0 * ck * (x_el[k, :, d, 0] @ c)
+    proj = w @ vecs[:, 1:]
+    inv_gap = 1.0 / (e - energies[1:])
+    hess = (explicit - np.outer(ds, grad) - np.outer(grad, ds)
+            + 2.0 * (proj * inv_gap) @ proj.T)
+    response = (proj * inv_gap) @ vecs[:, 1:].T - 0.5 * np.outer(ds, c)
+    metric = np.outer(ck, ck) * s_el[k[:, None], k, d[:, None], d]
+    return _Expansion(energy=e, weights=c, grad=grad, hess=hess,
+                      response=response, metric=metric)
 
 
 def _seed_theta(p: ModelParams) -> np.ndarray:
@@ -181,197 +196,131 @@ def _seed_theta(p: ModelParams) -> np.ndarray:
     return theta
 
 
-def _newton_polish(theta: np.ndarray, p: ModelParams, target: float,
-                   max_iter: int = 30):
-    """Levenberg-Marquardt on the shape gradient (exact values, FD Jacobian).
+def _trust_region_step(hess: np.ndarray, grad: np.ndarray, radius: float) -> np.ndarray:
+    """Minimizer of grad.s + s.hess.s/2 over |s| <= radius (Nocedal & Wright, sec. 4.3).
 
-    Flat anti-polaron directions make the Hessian near-singular at small
-    Omega; the adaptive damping keeps steps useful there.
+    In the eigenbasis of hess the step is -(hess + sigma)^-1 grad with the
+    smallest sigma >= max(0, -lambda_min) that keeps it inside the region; Newton
+    on 1/|s(sigma)| = 1/radius from the left converges to it monotonically.
     """
-    energy, grad, v = _energy_and_grad(theta, p)
-    gnorm = float(np.linalg.norm(grad))
-    delta = 1e-6
-    lam = 1e-8
-    jac = None
-    for _ in range(max_iter):
-        if gnorm <= target:
+    lam, q = np.linalg.eigh(hess)
+    gq = q.T @ grad
+    if lam[0] > 0.0:
+        sigma = 0.0
+    else:
+        sigma = -lam[0] + np.finfo(float).eps * (abs(lam).max() + np.linalg.norm(grad) / radius)
+    a = gq / (lam + sigma)
+    norm_a = np.linalg.norm(a)
+    if norm_a <= radius:
+        if lam[0] > 0.0:
+            return -q @ a
+        # hard case: grad is orthogonal to the lowest eigenvector; move along it
+        return -q @ a + math.sqrt(radius ** 2 - norm_a ** 2) * q[:, 0]
+    for _ in range(50):
+        if norm_a <= radius * (1.0 + 1e-6):
             break
-        if jac is None:
-            jac = np.zeros((8, 8))
-            for i in range(8):
-                tp = theta.copy()
-                tp[i] += delta
-                _, gp, _ = _energy_and_grad(tp, p)
-                tp[i] -= 2.0 * delta
-                _, gm, _ = _energy_and_grad(tp, p)
-                jac[i] = (gp - gm) / (2.0 * delta)
-            jac = 0.5 * (jac + jac.T)
-            scale = float(np.linalg.norm(jac, 2))
-        accepted = False
-        for _damp in range(12):
-            a = jac.T @ jac + max(lam * scale, 1e-300) * np.eye(8)
-            try:
-                step = np.linalg.solve(a, -jac.T @ grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            e_t, g_t, v_t = _energy_and_grad(trial, p)
-            g_t_norm = float(np.linalg.norm(g_t))
-            if g_t_norm < gnorm:
-                theta, energy, grad, v = trial, e_t, g_t, v_t
-                gnorm = g_t_norm
-                lam = max(lam * 0.25, 1e-12)
-                jac = None  # refresh at the new point
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-    return theta, energy, grad, v, gnorm
+        sigma += (norm_a / radius - 1.0) * norm_a ** 2 / np.sum(a * a / (lam + sigma))
+        a = gq / (lam + sigma)
+        norm_a = np.linalg.norm(a)
+    return -q @ a
 
 
-_LN_XI_BOUNDS = (math.log(1e-3), math.log(1e3))
+def _minimize(p: ModelParams, theta: np.ndarray):
+    """Trust-region Newton (Nocedal & Wright, Alg. 4.1) until |grad| <= 0.3 tol.
 
-
-def _optimize(p: ModelParams, theta0: np.ndarray):
-    bounds = [(_LN_XI_BOUNDS if i % 2 == 0 else (None, None)) for i in range(8)]
-    res = scipy.optimize.minimize(
-        lambda t: _energy_and_grad(t, p)[:2], theta0, jac=True,
-        method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20})
-    # polish below the convergence target with margin for trajectory jitter
+    Returns the last accepted (theta, expansion), converged or not. A step whose
+    predicted energy change is round-off is accepted unless the energy rises
+    beyond round-off.
+    """
     target = 0.3 * GRAD_TOL_FACTOR * p.omega
-    theta, energy, grad, v, gnorm = _newton_polish(np.asarray(res.x), p, target)
-    return theta, energy, v, gnorm
+    point = _expand(theta, p)
+    radius = 1.0
+    for _ in range(MAX_NEWTON_STEPS):
+        grad, hess = point.grad[:8], point.hess[:8, :8]
+        if np.linalg.norm(grad) <= target:
+            break
+        step = _trust_region_step(hess, grad, radius)
+        trial = _expand(theta + step, p)
+        predicted = -(grad @ step + 0.5 * step @ hess @ step)
+        actual = point.energy - trial.energy
+        noise = ROUNDOFF * (abs(point.energy) + p.omega)
+        ratio = actual / predicted if predicted > noise else float(actual >= -noise)
+        step_norm = np.linalg.norm(step)
+        if ratio < 0.25:
+            radius = 0.5 * step_norm
+        elif ratio > 0.75 and step_norm >= 0.99 * radius:
+            radius *= 2.0
+        if ratio > 0.0:
+            theta, point = theta + step, trial
+    return theta, point
 
 
 def _to_ansatz(theta: np.ndarray, v: np.ndarray) -> PolaronAnsatz:
-    packets = _unpack(theta)
-    plus = tuple(GaussianPacket(packets[a][0], packets[a][1], float(v[a]))
-                 for a in range(2))
-    minus = tuple(GaussianPacket(packets[2 + a][0], packets[2 + a][1],
-                                 float(v[2 + a])) for a in range(2))
-    return PolaronAnsatz(packets_plus=plus, packets_minus=minus, n_p=2)
+    packets = [GaussianPacket(xi, m, float(w)) for (xi, m), w in zip(_unpack(theta), v)]
+    return PolaronAnsatz(packets_plus=tuple(packets[:2]), packets_minus=tuple(packets[2:]),
+                         n_p=2)
 
 
-def variational_ground(p: ModelParams, n_p: int = 2) -> MultiAnsatz:
+def variational_ground(p: ModelParams) -> MultiAnsatz:
     """Minimize the n_p = 2 variational energy; deterministic given p.
 
     Initialized from the adiabatic single-packet solution plus an anti-polaron
-    seeded at the opposite spin's potential bottom. Converged when the shape
-    gradient norm is below 1e-9 omega; one deterministic re-seed is attempted
-    before raising VariationalError.
+    seeded at the opposite spin's potential bottom. Raises VariationalError
+    unless the shape gradient norm ends below 1e-9 omega.
     """
-    if n_p != 2:
-        raise ValueError(f"only n_p = 2 is supported, got {n_p}")
-    theta0 = _seed_theta(p)
-    last_exc = None
-    for attempt in range(2):
-        try:
-            theta, energy, v, gnorm = _optimize(p, theta0)
-        except VariationalError as exc:
-            last_exc = exc
-        else:
-            if gnorm <= GRAD_TOL_FACTOR * p.omega:
-                # canonical global sign: dominant weight positive
-                if v[int(np.argmax(np.abs(v)))] < 0:
-                    v = -v
-                return MultiAnsatz(ansatz=_to_ansatz(theta, v), energy=energy,
-                                   grad_norm=gnorm)
-            last_exc = VariationalError(
-                f"gradient norm {gnorm:.3e} above {GRAD_TOL_FACTOR * p.omega:.3e} "
-                f"after optimization at {p}")
-        theta0 = _seed_theta(p) + np.tile([0.05, 0.1, -0.05, -0.1], 2)
-    raise last_exc
+    theta, point = _minimize(p, _seed_theta(p))
+    gnorm = float(np.linalg.norm(point.grad[:8]))
+    if gnorm > GRAD_TOL_FACTOR * p.omega:
+        raise VariationalError(
+            f"gradient norm {gnorm:.3e} above {GRAD_TOL_FACTOR * p.omega:.3e} "
+            f"after optimization at {p}")
+    return MultiAnsatz(ansatz=_to_ansatz(theta, point.weights), energy=point.energy,
+                       grad_norm=gnorm)
 
 
 # ---------------------------------------------------------------------------
-# QFI decomposition across a re-optimized g2 stencil
+# QFI decomposition by implicit differentiation of the optimum
 # ---------------------------------------------------------------------------
 
-def _cross_overlap(theta1, v1, theta0, v0) -> float:
-    """<psi(theta1)|psi(theta0)>: same-spin packet cross-overlaps only."""
-    p1 = _unpack(theta1)
-    p0 = _unpack(theta0)
-    total = 0.0
-    for spin in range(2):
-        for a in range(2):
-            for b in range(2):
-                ia, ib = 2 * spin + a, 2 * spin + b
-                total += v1[ia] * v0[ib] * gaussians.overlap(
-                    p1[ia][0], p1[ia][1], p0[ib][0], p0[ib][1])
-    return total
+def _shape_response(point: _Expansion) -> np.ndarray:
+    """dtheta/dg2 = -(d2E/dtheta2)^-1 d(grad E)/dg2 over the resolved directions.
+
+    A Hessian eigenvalue of round-off size leaves the response along its
+    eigenvector undetermined. Such a direction is a gauge direction, left out
+    of the solve, when psi moves along it by at most sqrt(ROUNDOFF) of the
+    largest <d psi|d psi> (the shape of a packet of near-zero weight). If psi
+    does move along it, the minimum is not isolated and VariationalError is
+    raised.
+    """
+    lam, q = np.linalg.eigh(point.hess[:8, :8])
+    flat = np.abs(lam) <= ROUNDOFF * np.abs(lam).max()
+    moves = (np.einsum("in,ij,jn->n", q, point.metric, q)
+             > math.sqrt(ROUNDOFF) * np.linalg.eigvalsh(point.metric).max())
+    if np.any(flat & moves):
+        raise VariationalError(
+            f"Hessian eigenvalues {lam[flat & moves]} are round-off along directions "
+            "that change psi: the minimum is not isolated")
+    keep = ~flat
+    return -q[:, keep] @ ((q[:, keep].T @ point.hess[:8, 8]) / lam[keep])
 
 
-def _tracked(theta1, theta0) -> bool:
-    for k in range(4):
-        if abs(theta1[2 * k] - theta0[2 * k]) > 0.35:
-            return False
-        if abs(theta1[2 * k + 1] - theta0[2 * k + 1]) > 0.25 * (1.0 + abs(theta0[2 * k + 1])):
-            return False
-    return True
-
-
-def qfi_decompose_multi(p: ModelParams, step: float | None = None,
-                        return_split: bool = False):
+def qfi_decompose_multi(p: ModelParams, return_split: bool = False):
     """Six-term QFI decomposition for lambda = g2 at finite Omega.
 
-    Parameter derivatives of {xi, center, weight} come from central differences
-    of the re-optimized ansatz at g2 +- step (warm-started from the center
-    optimum, identity-checked; on a tracking failure the step shrinks by 4x
-    twice before PacketTrackingError). Components are assembled from closed-form
-    Gaussian cross-overlaps; total = sum of all six.
+    The parameter derivatives of {xi, center, weight} are exact: dtheta/dg2 from
+    the implicit-function theorem at the optimum, dc/dg2 from the perturbed 4x4
+    eigenproblem. Components are assembled from closed-form Gaussian
+    cross-overlaps; total = sum of all six.
     """
-    sc = derived_scales(p)
-    h = 1e-4 * sc.gT if step is None else float(step)
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    if p.g2 - h < 0 or p.g2 + h >= sc.gT:
-        raise ValueError(f"stencil g2 +- {h} leaves the domain [0, omega/4)")
-
-    center = variational_ground(p)
-    theta0 = _ansatz_theta(center.ansatz)
-    v0 = _ansatz_weights(center.ansatz)
-    packets0 = _unpack(theta0)
-
-    failure = None
-    for attempt in range(3):
-        sides = []
-        failure = None
-        for sgn in (-1.0, +1.0):
-            q = p.replace(g2=p.g2 + sgn * h)
-            theta, energy, v, gnorm = _optimize(q, theta0.copy())
-            if gnorm > GRAD_TOL_FACTOR * q.omega or not _tracked(theta, theta0):
-                failure = PacketTrackingError(
-                    f"packet identities not tracked across the g2 stencil at {p}, "
-                    f"step {h}")
-                break
-            if _cross_overlap(theta, v, theta0, v0) < 0:
-                v = -v
-            sides.append((theta, v))
-        if failure is None:
-            (theta_m, v_m), (theta_p, v_p) = sides
-            dxi = np.array([(math.exp(theta_p[2 * k]) - math.exp(theta_m[2 * k]))
-                            / (2 * h) for k in range(4)])
-            dm = np.array([(theta_p[2 * k + 1] - theta_m[2 * k + 1]) / (2 * h)
-                           for k in range(4)])
-            dc = (v_p - v_m) / (2 * h)
-            brackets, residual = _brackets(packets0, v0, dxi, dm, dc)
-            norm_sq = (brackets[("xi", "xi")] + brackets[("x", "x")]
-                       + brackets[("rho", "rho")]
-                       + 2.0 * (brackets[("xi", "x")] + brackets[("xi", "rho")]
-                                + brackets[("x", "rho")]))
-            if norm_sq > 0 and residual ** 2 > 1e-8 * norm_sq:
-                failure = PacketTrackingError(
-                    f"<psi'|psi> residual {residual:.3e} too large at {p}, "
-                    f"step {h}: stencil asymmetry, retry with a smaller step")
-            else:
-                break
-        h /= 4.0
-    if failure is not None:
-        raise failure
-
+    theta = _ansatz_theta(variational_ground(p).ansatz)
+    point = _expand(theta, p)
+    dtheta = _shape_response(point)
+    dc = point.response[8] + dtheta @ point.response[:8]
+    packets0 = _unpack(theta)
+    v0 = point.weights
+    dxi = np.exp(theta[0::2]) * dtheta[0::2]
+    dm = dtheta[1::2]
+    brackets, residual = _brackets(packets0, v0, dxi, dm, dc)
     components = {
         "xi": 4.0 * brackets[("xi", "xi")],
         "x": 4.0 * brackets[("x", "x")],
@@ -380,17 +329,16 @@ def qfi_decompose_multi(p: ModelParams, step: float | None = None,
         "xi_rho": 8.0 * brackets[("xi", "rho")],
         "x_rho": 8.0 * brackets[("x", "rho")],
     }
-    total = sum(components.values())
+    total = sum(components.values())  # 4 <psi'|psi'>
+    if abs(residual) > ROUNDOFF * math.sqrt(max(total, 0.0) / 4.0):
+        raise VariationalError(
+            f"<psi'|psi> residual {residual:.3e} above round-off at {p}")
     breakdown = QfiBreakdown(total=total, components=components,
-                             method="multipolaron", lam="g2", step=h,
-                             lambda_value=p.g2)
+                             method="multipolaron", lam="g2", lambda_value=p.g2)
     if not return_split:
         return breakdown
     split = _intra_inter_split(packets0, v0, dxi, dm, dc)
     return breakdown, split
-
-
-_LABELS = ("xi", "x", "rho")
 
 
 def _brackets(packets0, v0, dxi, dm, dc):
@@ -455,7 +403,3 @@ def _ansatz_theta(ansatz: PolaronAnsatz) -> np.ndarray:
             theta[4 * spin + 2 * a + 1] = pk.center
     return theta
 
-
-def _ansatz_weights(ansatz: PolaronAnsatz) -> np.ndarray:
-    return np.array([pk.weight for pk in
-                     (*ansatz.packets_plus, *ansatz.packets_minus)])

@@ -204,8 +204,7 @@ def qfi_analytic(p: ModelParams) -> QfiBreakdown:
     components = {"xi": f_xi, "x": f_x, "rho": f_rho,
                   "xi_x": 0.0, "xi_rho": 0.0, "x_rho": 0.0}
     return QfiBreakdown(total=f_xi + f_x + f_rho, components=components,
-                        method="analytic", lam="g2", step=None,
-                        lambda_value=p.g2)
+                        method="analytic", lam="g2", lambda_value=p.g2)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,9 @@ class QfiBreakdown:
 
     Units are 1/[lambda]^2 for the dimensionful parameter lambda. For
     method="analytic" the mixed components are exact zeros and
-    total = xi + x + rho. `step` is the finite-difference step of the
-    variational method; it is None for ED and analytic results.
+    total = xi + x + rho. `step` is always None: no method takes a
+    finite-difference step any more, and the field is kept only because
+    perfbench/tracer.py reads it.
     """
 
     total: float

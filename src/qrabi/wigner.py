@@ -128,8 +128,6 @@ def wigner(v: SpinorFockVector, x_axis, p_axis, params: ModelParams | None = Non
         psi_p = _accumulate_psi(v.coeff_plus, pts)
         psi_m = _accumulate_psi(v.coeff_minus, pts)
     notes = []
-    edge = max(float(np.max(np.abs(psi_p[:, [0, -1]]))),
-               float(np.max(np.abs(psi_m[:, [0, -1]]))))
     bp, bm = position_wavefunction(v, x_axis)
     if max(abs(bp[0]), abs(bp[-1]), abs(bm[0]), abs(bm[-1])) > BOUNDARY_AMPLITUDE:
         notes.append("x grid does not cover the wavefunction support")

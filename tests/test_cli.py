@@ -216,11 +216,12 @@ def test_serialize_json_nan_as_null():
 
 
 def test_import_loads_neither_scipy_stats_nor_optimize():
-    # Each CLI call is a fresh process, so its imports are paid on every run.
+    # Each CLI call is a fresh process, so its imports are paid on every run;
+    # every benchmark process also imports qrabi.multipolaron.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, qrabi.cli; "
+    code = ("import sys, qrabi.cli, qrabi.multipolaron; "
             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
