@@ -64,30 +64,6 @@ class SpectrumSlice:
     cutoff: int
 
 
-def build_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
-    """Dense symmetric matrix of size 2 (cutoff + 1)."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    dim = 2 * (cutoff + 1)
-    h = np.zeros((dim, dim))
-    n = np.arange(cutoff + 1, dtype=float)
-    for s, off in ((+1.0, 0), (-1.0, 1)):
-        idx = 2 * n.astype(int) + off
-        h[idx, idx] = p.omega * n + s * (p.g2 * (2.0 * n + 1.0) - p.epsilon)
-        if cutoff >= 1:
-            one = np.sqrt(n[:-1] + 1.0)  # <n+1|(a^dag + a)|n>
-            h[idx[:-1] + 2, idx[:-1]] = s * p.g1 * one
-            h[idx[:-1], idx[:-1] + 2] = s * p.g1 * one
-        if cutoff >= 2:
-            two = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))  # <n+2|(a^dag+a)^2|n>
-            h[idx[:-2] + 4, idx[:-2]] = s * p.g2 * two
-            h[idx[:-2], idx[:-2] + 4] = s * p.g2 * two
-    even = 2 * n.astype(int)
-    h[even, even + 1] = 0.5 * p.Omega
-    h[even + 1, even] = 0.5 * p.Omega
-    return h
-
-
 def _banded_derivative(lam: str, cutoff: int) -> np.ndarray:
     """Lower-banded dH/d lam: sigma_z (a^dag + a)^2, sigma_z (a^dag + a) or -sigma_z."""
     band = np.zeros((5, 2 * (cutoff + 1)))
@@ -138,6 +114,11 @@ def _spin_plus_weight(vec: np.ndarray) -> float:
 
 def _eig_banded(p: ModelParams, cutoff: int, k: int, eigvals_only: bool):
     """Lowest k eigenvalues (and vectors unless `eigvals_only`) of the banded H."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    dim = 2 * (cutoff + 1)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in [1, {dim}], got {k}")
     try:
         return scipy.linalg.eig_banded(
             _banded_hamiltonian(p, cutoff), lower=True, eigvals_only=eigvals_only,
@@ -149,9 +130,6 @@ def _eig_banded(p: ModelParams, cutoff: int, k: int, eigvals_only: bool):
 
 def spectrum(p: ModelParams, cutoff: int, k: int = 2) -> SpectrumSlice:
     """Lowest k eigenpairs; gauge-fixed signs, deterministic degeneracy ordering."""
-    dim = 2 * (cutoff + 1)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
     energies, vecs = _eig_banded(p, cutoff, k, eigvals_only=False)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]

@@ -21,6 +21,8 @@ Parameter derivatives of a packet are again polynomial multiples of it:
 
 so overlaps among derivatives stay inside the same closed form; kinetic
 elements between derivatives use <P phi_a| p^2 |Q phi_b> = <(P phi_a)'|(Q phi_b)'>.
+GaussPair.gram evaluates whole blocks of such elements at once; the plain
+overlap is the only element with a name of its own.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class GaussPair:
         deriv = factor[1:] * np.arange(1, len(factor))
         return poly_add(deriv, -xi * poly_mul(self.x_minus(m), factor))
 
-    def p2_poly(self) -> np.ndarray:
-        """Factor polynomial of p^2 acting on the ket packet."""
-        xi, m = self.xi_b, self.m_b
-        lin = self.x_minus(m)
-        return poly_add(np.array([xi]), -xi * xi * poly_mul(lin, lin))
-
     def moments(self, n: int) -> np.ndarray:
         """E[u^k] for k < n under the normalized product density; odd ones vanish."""
         out = np.zeros(n)
@@ -109,10 +105,6 @@ class GaussPair:
             out[k] = fac
             fac *= (k + 1) / self.s
         return out
-
-    def moment(self, coeffs: np.ndarray) -> float:
-        """<phi_a| sum_k coeffs[k] u^k |phi_b>."""
-        return self.overlap * float(coeffs @ self.moments(len(coeffs)))
 
     def gram(self, rows_a: np.ndarray, rows_b: np.ndarray,
              weight: np.ndarray = np.ones(1)) -> np.ndarray:
@@ -135,57 +127,5 @@ def poly_add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Named matrix elements
-# ---------------------------------------------------------------------------
-
 def overlap(xi_a, m_a, xi_b, m_b) -> float:
     return GaussPair(xi_a, m_a, xi_b, m_b).overlap
-
-
-def p2_element(xi_a, m_a, xi_b, m_b) -> float:
-    """<phi_a| p^2 |phi_b>."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(pair.p2_poly())
-
-
-def x2_element(xi_a, m_a, xi_b, m_b, center: float) -> float:
-    """<phi_a| (x - center)^2 |phi_b>."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    lin = pair.x_minus(center)
-    return pair.moment(poly_mul(lin, lin))
-
-
-def braket_dxi_dxi(xi_a, m_a, xi_b, m_b) -> float:
-    """<d phi_a/d xi_a | d phi_b/d xi_b>."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(poly_mul(pair.dxi_poly("a"), pair.dxi_poly("b")))
-
-
-def braket_dm_dm(xi_a, m_a, xi_b, m_b) -> float:
-    """<d phi_a/d m_a | d phi_b/d m_b>."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(poly_mul(pair.dm_poly("a"), pair.dm_poly("b")))
-
-
-def braket_dxi_dm(xi_a, m_a, xi_b, m_b) -> float:
-    """<d phi_a/d xi_a | d phi_b/d m_b>; zero for identical packets."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(poly_mul(pair.dxi_poly("a"), pair.dm_poly("b")))
-
-
-def braket_dxi_phi(xi_a, m_a, xi_b, m_b) -> float:
-    """<d phi_a/d xi_a | phi_b>; zero for identical packets (norm preservation)."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(pair.dxi_poly("a"))
-
-
-def braket_dm_phi(xi_a, m_a, xi_b, m_b) -> float:
-    """<d phi_a/d m_a | phi_b>; zero for identical packets."""
-    pair = GaussPair(xi_a, m_a, xi_b, m_b)
-    return pair.moment(pair.dm_poly("a"))
-
-
-def packet_values(xi: float, m: float, x: np.ndarray) -> np.ndarray:
-    """phi(x) sampled on a grid (for quadrature cross-checks and plotting)."""
-    return xi ** 0.25 * np.exp(-0.5 * xi * (x - m) ** 2) / math.pi ** 0.25

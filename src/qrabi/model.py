@@ -139,13 +139,6 @@ def effective_potential(p: ModelParams, spin: int, x):
     return 0.5 * p.omega * varpi ** 2 * (x + s * b) ** 2 + d - s * p.epsilon - 0.5 * p.omega
 
 
-def effective_potential_direct(p: ModelParams, spin: int, x):
-    """Same potential by direct expansion of the couplings (round-off level check)."""
-    s = _check_spin(spin)
-    return (0.5 * p.omega * x ** 2 + s * 2.0 * p.g2 * x ** 2
-            + s * math.sqrt(2.0) * p.g1 * x - s * p.epsilon - 0.5 * p.omega)
-
-
 def transition_bias(p: ModelParams) -> float:
     """Bias epsilon_max putting the level crossing at this (gbar1, gbar2).
 

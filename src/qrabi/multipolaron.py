@@ -17,9 +17,9 @@ parameter of the same expansion. At grad E = 0 the implicit-function theorem
 gives dtheta/dg2 = -(d2E/dtheta2)^-1 d(grad E)/dg2 (Blondel et al., NeurIPS
 2022), and the perturbed eigenproblem gives dc/dg2 (coupled-perturbed
 Hartree-Fock, Gerratt & Mills, JCP 49, 1719 (1968)). The six components (xi,
-x, rho and the three mixed ones) are assembled from closed-form cross-overlaps;
-intra-polaron mixed integrals vanish identically, so the mixed components are
-purely inter-packet.
+x, rho and the three mixed ones) come from the derivative-overlap block
+<D phi_a|D' phi_b> that the expansion already builds; intra-polaron mixed
+integrals vanish, so the mixed components are purely inter-packet.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import gaussians
-from .gaussians import GaussPair
+from .gaussians import GaussPair, poly_add
 from .model import ModelParams, derived_scales
 from .polaron import GaussianPacket, PolaronAnsatz
 from .qfi_ed import QfiBreakdown
@@ -76,7 +75,7 @@ def _packet_rows(xi: float, m: float) -> tuple[np.ndarray, np.ndarray]:
     own = GaussPair(xi, m, xi, m)  # its u is x - m
     dxi = xi * own.dxi_poly("a")
     polys = (np.ones(1), dxi, own.dm_poly("a"),
-             gaussians.poly_add(xi * xi * own.dxi2_poly("a"), dxi),
+             poly_add(xi * xi * own.dxi2_poly("a"), dxi),
              xi * own.dxi_dm_poly("a"), own.dm2_poly("a"))
     rows = np.zeros((6, 5))
     for i, poly in enumerate(polys):
@@ -131,6 +130,7 @@ class _Expansion:
     hess: np.ndarray       # (9, 9) d2E
     response: np.ndarray   # (9, 4) dc at fixed other parameters
     metric: np.ndarray     # (8, 8) <d_i psi|d_j psi> at fixed weights
+    overlaps: np.ndarray   # (4, 4, 3, 3) <D phi_a|D' phi_b>, D in (1, d/dlnxi, d/dm)
 
 
 def _expand(theta: np.ndarray, p: ModelParams) -> _Expansion:
@@ -174,7 +174,8 @@ def _expand(theta: np.ndarray, p: ModelParams) -> _Expansion:
     metric = np.outer(ck, ck) * s_el[k[:, None], k, d[:, None], d]
     spin_weights = np.array([c[:2] @ s[:2, :2] @ c[:2], c[2:] @ s[2:, 2:] @ c[2:]])
     return _Expansion(energy=e, weights=c, spin_weights=spin_weights, grad=grad,
-                      hess=hess, response=response, metric=metric)
+                      hess=hess, response=response, metric=metric,
+                      overlaps=s_el[:, :, :3, :3])
 
 
 def _seed_theta(p: ModelParams) -> np.ndarray:
@@ -320,90 +321,33 @@ def _shape_response(point: _Expansion) -> np.ndarray:
     return -q[:, keep] @ ((q[:, keep].T @ point.hess[:8, 8]) / lam[keep])
 
 
-def qfi_decompose_multi(p: ModelParams, return_split: bool = False):
+def qfi_decompose_multi(p: ModelParams) -> QfiBreakdown:
     """Six-term QFI decomposition for lambda = g2 at finite Omega.
 
     The parameter derivatives of {xi, center, weight} are exact: dtheta/dg2 from
     the implicit-function theorem at the optimum, dc/dg2 from the perturbed 4x4
-    eigenproblem. Components are assembled from closed-form Gaussian
-    cross-overlaps; total = sum of all six.
+    eigenproblem. psi' splits into u_r = sum_a U[r, a] D_r phi_a with
+    D = (1, d/dlnxi, d/dm) and U = (dc, c dlnxi, c dm) for rho, xi and x, so
+    the brackets <u_r|u_s> contract U with the derivative-overlap block;
+    total = sum of all six = 4 <psi'|psi'>.
     """
     theta = _ansatz_theta(variational_ground(p).ansatz)
     point = _expand(theta, p)
     dtheta = _shape_response(point)
-    dc = point.response[8] + dtheta @ point.response[:8]
-    packets0 = _unpack(theta)
-    v0 = point.weights
-    dxi = np.exp(theta[0::2]) * dtheta[0::2]
-    dm = dtheta[1::2]
-    brackets, residual = _brackets(packets0, v0, dxi, dm, dc)
-    # xi, x, rho, then the mixed xi_x, xi_rho, x_rho, counted twice
-    components = {a if a == b else f"{a}_{b}": (4.0 if a == b else 8.0) * value
-                  for (a, b), value in brackets.items()}
-    total = sum(components.values())  # 4 <psi'|psi'>
+    c = point.weights
+    u = np.array([point.response[8] + dtheta @ point.response[:8],
+                  c * dtheta[0::2], c * dtheta[1::2]])
+    b = np.einsum("ra,abrs,sb->rs", u, point.overlaps, u)
+    components = {"xi": 4.0 * b[1, 1], "x": 4.0 * b[2, 2], "rho": 4.0 * b[0, 0],
+                  "xi_x": 8.0 * b[1, 2], "xi_rho": 8.0 * b[1, 0], "x_rho": 8.0 * b[2, 0]}
+    total = sum(components.values())
+    # <psi'|psi>, which the normalization of psi makes round-off
+    residual = np.einsum("ra,abr,b->", u, point.overlaps[..., 0], c)
     if abs(residual) > ROUNDOFF * math.sqrt(max(total, 0.0) / 4.0):
         raise VariationalError(
             f"<psi'|psi> residual {residual:.3e} above round-off at {p}")
-    breakdown = QfiBreakdown(total=total, components=components,
-                             method="multipolaron", lam="g2", lambda_value=p.g2)
-    if not return_split:
-        return breakdown
-    split = _intra_inter_split(packets0, v0, dxi, dm, dc)
-    return breakdown, split
-
-
-def _brackets(packets0, v0, dxi, dm, dc):
-    """All <u_i|u_j> brackets between the three derivative directions.
-
-    u_xi = sum c dphi/dxi xidot, u_x = sum c dphi/dm mdot, u_rho = sum cdot phi,
-    summed over same-spin packet pairs. Also returns the <psi'|psi> residual,
-    which the normalization of psi makes round-off.
-    """
-    brackets = {("xi", "xi"): 0.0, ("x", "x"): 0.0, ("rho", "rho"): 0.0,
-                ("xi", "x"): 0.0, ("xi", "rho"): 0.0, ("x", "rho"): 0.0}
-    residual = 0.0
-    for spin in range(2):
-        for a in range(2):
-            for b in range(2):
-                ia, ib = 2 * spin + a, 2 * spin + b
-                xa, ma = packets0[ia]
-                xb, mb = packets0[ib]
-                i_xx = gaussians.braket_dxi_dxi(xa, ma, xb, mb)
-                i_mm = gaussians.braket_dm_dm(xa, ma, xb, mb)
-                i_xm = gaussians.braket_dxi_dm(xa, ma, xb, mb)
-                i_xp = gaussians.braket_dxi_phi(xa, ma, xb, mb)
-                i_mp = gaussians.braket_dm_phi(xa, ma, xb, mb)
-                ov = gaussians.overlap(xa, ma, xb, mb)
-                wa_xi = v0[ia] * dxi[ia]
-                wb_m = v0[ib] * dm[ib]
-                brackets[("xi", "xi")] += wa_xi * v0[ib] * dxi[ib] * i_xx
-                brackets[("x", "x")] += v0[ia] * dm[ia] * wb_m * i_mm
-                brackets[("rho", "rho")] += dc[ia] * dc[ib] * ov
-                brackets[("xi", "x")] += wa_xi * wb_m * i_xm
-                brackets[("xi", "rho")] += wa_xi * dc[ib] * i_xp
-                brackets[("x", "rho")] += v0[ia] * dm[ia] * dc[ib] * i_mp
-                residual += (wa_xi * i_xp + v0[ia] * dm[ia] * i_mp) * v0[ib] \
-                    + dc[ia] * v0[ib] * ov
-    return brackets, residual
-
-
-def _intra_inter_split(packets0, v0, dxi, dm, dc) -> dict:
-    """Intra (a == b) vs inter (a != b) parts of the pure xi/x/rho components."""
-    out = {"xi": [0.0, 0.0], "x": [0.0, 0.0], "rho": [0.0, 0.0]}
-    for spin in range(2):
-        for a in range(2):
-            for b in range(2):
-                ia, ib = 2 * spin + a, 2 * spin + b
-                xa, ma = packets0[ia]
-                xb, mb = packets0[ib]
-                sel = 0 if a == b else 1
-                out["xi"][sel] += 4.0 * v0[ia] * dxi[ia] * v0[ib] * dxi[ib] \
-                    * gaussians.braket_dxi_dxi(xa, ma, xb, mb)
-                out["x"][sel] += 4.0 * v0[ia] * dm[ia] * v0[ib] * dm[ib] \
-                    * gaussians.braket_dm_dm(xa, ma, xb, mb)
-                out["rho"][sel] += 4.0 * dc[ia] * dc[ib] \
-                    * gaussians.overlap(xa, ma, xb, mb)
-    return {k: {"intra": vals[0], "inter": vals[1]} for k, vals in out.items()}
+    return QfiBreakdown(total=total, components=components,
+                        method="multipolaron", lam="g2", lambda_value=p.g2)
 
 
 def _ansatz_theta(ansatz: PolaronAnsatz) -> np.ndarray:

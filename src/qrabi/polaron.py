@@ -43,15 +43,6 @@ class PolaronAnsatz:
     packets_minus: tuple
     n_p: int
 
-    def norm_squared(self) -> float:
-        total = 0.0
-        for packets in (self.packets_plus, self.packets_minus):
-            for a in packets:
-                for b in packets:
-                    total += (a.weight * b.weight
-                              * gaussians.overlap(a.xi, a.center, b.xi, b.center))
-        return total
-
 
 @dataclass(frozen=True)
 class TwoLevelReduction:

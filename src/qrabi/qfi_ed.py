@@ -1,4 +1,4 @@
-"""Ground-state QFI by linear response, and fidelity from exact eigenvectors.
+"""Ground-state QFI by linear response.
 
 The QFI is exact linear response at a fixed cutoff (the Sternheimer / DFPT
 construction, Baroni et al., RMP 73, 515 (2001)). dH/d lambda is banded, so
@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .fockspace import (GAP_FLOOR_FACTOR, EigensolverError, _band_matvec,
                         _banded_derivative, _banded_hamiltonian, _eig_banded,
-                        default_cutoff, spectrum)
+                        default_cutoff)
 from .model import ModelParams
 
 LAMBDA_NAMES = ("g2", "g1", "epsilon")
@@ -70,14 +70,6 @@ def _lambda_value(p: ModelParams, lam: str) -> float:
     if lam not in LAMBDA_NAMES:
         raise ValueError(f"lambda must be one of {LAMBDA_NAMES}, got {lam!r}")
     return getattr(p, lam)
-
-
-def _with_lambda(p: ModelParams, lam: str, value: float) -> ModelParams:
-    return p.replace(**{lam: value})
-
-
-def _ground_vec(p: ModelParams, cutoff: int) -> np.ndarray:
-    return spectrum(p, cutoff, k=1).vectors[0].interleaved()
 
 
 def _inverse_iteration(singular: np.ndarray, factor: np.ndarray,
@@ -149,17 +141,6 @@ def qfi_ed(p: ModelParams, lam: str = "g2",
     x = _response(singular, factor, psi, psi * (psi @ dh_psi) - dh_psi)
     return QfiBreakdown(total=4.0 * float(x @ x), method="ED", lam=lam,
                         lambda_value=value, cutoff=n)
-
-
-def fidelity(p: ModelParams, lam: str, delta: float,
-             cutoff: int | None = None) -> float:
-    """|<psi(lambda)|psi(lambda + delta)>| at a shared cutoff."""
-    value = _lambda_value(p, lam)
-    p1 = _with_lambda(p, lam, value + delta)
-    n = default_cutoff(p) if cutoff is None else cutoff
-    v0 = _ground_vec(p, n)
-    v1 = _ground_vec(p1, n)
-    return abs(float(v0 @ v1))
 
 
 @dataclass

@@ -26,6 +26,7 @@ AXIS_NAMES = ("omega", "Omega", "g1", "g2", "epsilon", "gbar1", "gbar2")
 QUANTITIES = ("sigma_z", "energy", "gap", "qfi_ed", "qfi_analytic")
 POINT_ERRORS = (CollapseBoundError, CutoffConvergenceError, EigensolverError,
                 DegenerateGroundError, ValueError)
+PTPS_MAX_EVALS = 2000  # gap evaluations one PTPS quadrature may spend
 
 
 def default_threads() -> int:
@@ -86,6 +87,8 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.axes) not in (1, 2):
             raise ValueError("SweepSpec supports one or two axes")
+        if self.cutoff is not None and self.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         if self.quantity not in QUANTITIES:
             raise ValueError(f"quantity must be one of {QUANTITIES}, "
                              f"got {self.quantity!r}")
@@ -229,6 +232,10 @@ class PtpsResult:
     n_gap_evals: int = 0
 
 
+class PtpsBudgetError(RuntimeError):
+    """PTPS refinement spent PTPS_MAX_EVALS gap evaluations before converging."""
+
+
 class _GapDiverged(Exception):
     def __init__(self, gbar):
         self.gbar = gbar
@@ -275,16 +282,18 @@ def locate_qfi_peak(p: ModelParams, coupling: str, scan: tuple,
 
 def ptps(p: ModelParams, coupling: str = "g2", gbar_max: float | None = None,
          cutoff: int | None = None, rel_tol: float = 0.002,
-         peak_scan: tuple | None = None, gap_fn=None,
-         max_evals: int = 2000) -> PtpsResult:
+         peak_scan: tuple | None = None, gap_fn=None) -> PtpsResult:
     """Adaptive-trapezoid PTPS integral with refinement where the gap is smallest.
 
     gbar_max defaults to the QFI-peak location along the ramp. A gap below
     1e-12 omega anywhere returns a diverged result (T = inf) rather than
-    raising, mirroring the gap-closing pathology of the linear model.
+    raising, mirroring the gap-closing pathology of the linear model. Raises
+    PtpsBudgetError when the refinement needs more than PTPS_MAX_EVALS gaps.
     """
     if coupling not in ("g1", "g2"):
         raise ValueError(f"coupling must be 'g1' or 'g2', got {coupling!r}")
+    if not rel_tol > 0:  # also rejects NaN
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if gbar_max is None:
         if peak_scan is None:
             peak_scan = (0.05, 0.995) if coupling == "g2" else (0.2, 1.6)
@@ -308,6 +317,10 @@ def ptps(p: ModelParams, coupling: str = "g2", gbar_max: float | None = None,
     def inv_gap(gbar):
         nonlocal evals
         if gbar not in cache:
+            if evals >= PTPS_MAX_EVALS:
+                raise PtpsBudgetError(
+                    f"PTPS refinement not converged to rel_tol {rel_tol:g} within "
+                    f"the budget of {PTPS_MAX_EVALS} gap evaluations at {p}")
             evals += 1
             gap = gap_fn(gbar)
             if gap < GAP_FLOOR_FACTOR * p.omega:
@@ -325,9 +338,6 @@ def ptps(p: ModelParams, coupling: str = "g2", gbar_max: float | None = None,
             refined = []
             done = True
             for a, b, fa, fb in segments:
-                if evals >= max_evals:
-                    refined.append((a, b, fa, fb))
-                    continue
                 m = 0.5 * (a + b)
                 fm = inv_gap(m)
                 coarse = 0.5 * (b - a) * (fa + fb)
@@ -339,7 +349,7 @@ def ptps(p: ModelParams, coupling: str = "g2", gbar_max: float | None = None,
                 else:
                     refined.append((a, b, fa, fb))
             segments = refined
-            if done or evals >= max_evals:
+            if done:
                 break
         total = sum(0.5 * (b - a) * (fa + fb) for a, b, fa, fb in segments)
     except _GapDiverged as exc:

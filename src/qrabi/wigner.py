@@ -51,19 +51,6 @@ class WignerGrid:
         return np.trapezoid(w, self.p_axis, axis=1)
 
 
-def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_n_max on x, upward recurrence."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1, *x.shape))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
-                      - math.sqrt(n / (n + 1)) * out[n - 1])
-    return out
-
-
 def _accumulate_psi(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_n c_n h_n(x) without materializing all h_n (streaming recurrence)."""
     h_prev = math.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -123,13 +110,12 @@ def wigner(v: SpinorFockVector, x_axis, p_axis, params: ModelParams | None = Non
 
     # psi(x_i + y_j/2); psi(x_i - y_j/2) is its reversal in j for symmetric y
     pts = x_axis[:, None] + 0.5 * y[None, :]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # boundary check done on x_axis below
-        psi_p = _accumulate_psi(v.coeff_plus, pts)
-        psi_m = _accumulate_psi(v.coeff_minus, pts)
+    psi_p = _accumulate_psi(v.coeff_plus, pts)
+    psi_m = _accumulate_psi(v.coeff_minus, pts)
     notes = []
-    bp, bm = position_wavefunction(v, x_axis)
-    if max(abs(bp[0]), abs(bp[-1]), abs(bm[0]), abs(bm[-1])) > BOUNDARY_AMPLITUDE:
+    edges = x_axis[[0, -1]]
+    if max(np.abs(_accumulate_psi(c, edges)).max()
+           for c in (v.coeff_plus, v.coeff_minus)) > BOUNDARY_AMPLITUDE:
         notes.append("x grid does not cover the wavefunction support")
 
     kernel = np.exp(1j * np.outer(p_axis, y))

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qrabi import multipolaron, polaron
 from qrabi import wigner as wg
 from qrabi.fockspace import default_cutoff, gap_ed, ground_state
 from qrabi.model import ModelParams, derived_scales, transition_bias
-from qrabi.qfi_ed import fidelity, qfi_ed, qfi_peak_over_bias
+from qrabi.qfi_ed import qfi_ed, qfi_peak_over_bias
 from qrabi.sweep import ptps
 
 
@@ -179,9 +180,8 @@ def test_criterion_10_property_suites():
     checks = {}
 
     # Hamiltonian symmetry and photon parity at eps = g1 = 0
-    from qrabi.fockspace import build_hamiltonian
     p = dimensionless(0.4, 0.0, 0.8)
-    h = build_hamiltonian(p, 40)
+    h = oracles.dense_hamiltonian(p, 40)
     checks["symmetry"] = bool(np.array_equal(h, h.T))
     _, v = ground_state(p, 80)
     checks["parity"] = float(max(np.max(np.abs(v.coeff_plus[1::2])),
@@ -201,25 +201,24 @@ def test_criterion_10_property_suites():
     n = default_cutoff(pq)
     fq = qfi_ed(pq, lam="g2", cutoff=n).total
     delta = 2e-4 * 0.25
-    chi = 2.0 * (1.0 - fidelity(pq, "g2", delta, cutoff=n)) / delta ** 2
+    chi = 2.0 * (1.0 - oracles.fidelity(pq, "g2", delta, cutoff=n)) / delta ** 2
     checks["chi_f"] = abs(4.0 * chi - fq) / fq < 0.02
 
     # mixed-term exact zeros at n_p = 1 (same-packet Gaussian integrals)
-    from qrabi import gaussians
     a = polaron.adiabatic_ansatz(pq)
     zero = 0.0
     for pk in (*a.packets_plus, *a.packets_minus):
-        zero += abs(gaussians.braket_dxi_dm(pk.xi, pk.center, pk.xi, pk.center))
-        zero += abs(gaussians.braket_dxi_phi(pk.xi, pk.center, pk.xi, pk.center))
-        zero += abs(gaussians.braket_dm_phi(pk.xi, pk.center, pk.xi, pk.center))
+        zero += abs(oracles.braket_dxi_dm(pk.xi, pk.center, pk.xi, pk.center))
+        zero += abs(oracles.braket_dxi_phi(pk.xi, pk.center, pk.xi, pk.center))
+        zero += abs(oracles.braket_dm_phi(pk.xi, pk.center, pk.xi, pk.center))
     checks["np1_mixed_zero"] = zero == 0.0
 
     # intra-polaron mixed integrals zero at n_p = 2
     zero2 = 0.0
     for pk in (*res.ansatz.packets_plus, *res.ansatz.packets_minus):
-        zero2 += abs(gaussians.braket_dxi_dm(pk.xi, pk.center, pk.xi, pk.center))
-        zero2 += abs(gaussians.braket_dxi_phi(pk.xi, pk.center, pk.xi, pk.center))
-        zero2 += abs(gaussians.braket_dm_phi(pk.xi, pk.center, pk.xi, pk.center))
+        zero2 += abs(oracles.braket_dxi_dm(pk.xi, pk.center, pk.xi, pk.center))
+        zero2 += abs(oracles.braket_dxi_phi(pk.xi, pk.center, pk.xi, pk.center))
+        zero2 += abs(oracles.braket_dm_phi(pk.xi, pk.center, pk.xi, pk.center))
     checks["np2_intra_mixed_zero"] = zero2 == 0.0
 
     ok = all(checks.values())

@@ -205,6 +205,21 @@ class TestFitExponentCommand:
         assert abs(payload["meta"]["gamma"] - 2.0) < 0.1
 
 
+@pytest.mark.parametrize("args,message", [
+    (("gap", "--Omega", "0.3", "--cutoff", "-3"), "cutoff must be >= 1"),
+    (("phase-diagram", "--Omega", "0.3", "--cutoff", "-2", "--x-start", "0.1",
+      "--x-stop", "0.5", "--x-count", "2", "--y-start", "0.1", "--y-stop", "0.5",
+      "--y-count", "2"), "cutoff must be >= 1"),
+    (("ptps", "--Omega", "0.01", "--gbar-max", "0.5", "--rel-tol", "-1"),
+     "rel_tol must be positive"),
+], ids=["gap", "phase-diagram", "ptps"])
+def test_invalid_option_values_exit_1(tmp_path, capsys, args, message):
+    code, out = run(tmp_path, *args)
+    assert code == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_serialize_nan_as_empty_csv_field():
     blob = cli.serialize(["a", "b"], [[1.0, math.nan]], {"k": 1}, "csv")
     assert b"\n1," in blob

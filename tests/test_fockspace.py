@@ -4,28 +4,39 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import dense_hamiltonian
 from qrabi import fockspace as fs
 from qrabi.model import ModelParams
+from qrabi.qfi_ed import qfi_ed
+from qrabi.sweep import Axis, SweepSpec
 
 
 def kron_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
-    """Independent construction from operator matrices (oracle path)."""
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
-    x_op = a + a.T
-    number = a.T @ a
+    """Independent construction from operator matrices (oracle path).
+
+    (a^dag + a)^2 is squared one level above the cutoff and then truncated, so
+    its last diagonal element is 2 cutoff + 1 as in the Fock basis. Rows and
+    columns are interleaved as in the package: 2n for |n, +>, 2n + 1 for |n, ->.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 2)), 1)
+    x_op = (a + a.T)[:-1, :-1]
+    x2_op = ((a + a.T) @ (a + a.T))[:-1, :-1]
+    number = (a.T @ a)[:-1, :-1]
     eye = np.eye(cutoff + 1)
     sz = np.diag([1.0, -1.0])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return (p.omega * np.kron(np.eye(2), number)
-            + 0.5 * p.Omega * np.kron(sx, eye)
-            + p.g1 * np.kron(sz, x_op)
-            + p.g2 * np.kron(sz, x_op @ x_op)
-            - p.epsilon * np.kron(sz, eye))
+    h = (p.omega * np.kron(np.eye(2), number)
+         + 0.5 * p.Omega * np.kron(sx, eye)
+         + p.g1 * np.kron(sz, x_op)
+         + p.g2 * np.kron(sz, x2_op)
+         - p.epsilon * np.kron(sz, eye))
+    order = np.arange(2 * (cutoff + 1)).reshape(2, cutoff + 1).T.ravel()
+    return h[np.ix_(order, order)]
 
 
 def test_uncoupled_eigenvalues():
     p = ModelParams(omega=1.0, Omega=0.3)
-    h = fs.build_hamiltonian(p, 1)
+    h = dense_hamiltonian(p, 1)
     np.testing.assert_allclose(np.linalg.eigvalsh(h),
                                [-0.15, 0.15, 0.85, 1.15], atol=1e-14)
 
@@ -33,7 +44,7 @@ def test_uncoupled_eigenvalues():
 def test_ladder_matrix_elements():
     # (a^dag + a)^2: diagonal 2n+1, second off-diagonal sqrt((n+1)(n+2))
     p = ModelParams(omega=0.0 + 1.0, Omega=0.0, g2=0.2)
-    h = fs.build_hamiltonian(p, 5)
+    h = dense_hamiltonian(p, 5)
     plus = h[0::2, 0::2]
     for n in range(6):
         assert plus[n, n] == pytest.approx(1.0 * n + 0.2 * (2 * n + 1))
@@ -44,13 +55,14 @@ def test_ladder_matrix_elements():
 
 def test_matrix_exactly_symmetric():
     p = ModelParams(omega=1.0, Omega=0.7, g1=0.2, g2=0.12, epsilon=0.3)
-    h = fs.build_hamiltonian(p, 30)
+    h = dense_hamiltonian(p, 30)
     assert np.array_equal(h, h.T)
+    np.testing.assert_allclose(h, kron_hamiltonian(p, 30), rtol=0, atol=1e-13)
 
 
 def test_banded_matches_dense():
     p = ModelParams(omega=1.0, Omega=0.05, g1=0.1, g2=0.2, epsilon=0.07)
-    dense = np.linalg.eigvalsh(fs.build_hamiltonian(p, 40))[:4]
+    dense = np.linalg.eigvalsh(dense_hamiltonian(p, 40))[:4]
     sl = fs.spectrum(p, 40, k=4)
     np.testing.assert_allclose(sl.energies, dense, atol=1e-12)
 
@@ -59,8 +71,8 @@ def test_banded_matches_dense():
 def test_banded_derivative_matches_dense_difference(lam):
     # H is linear in each coupling, so dH/d lam = H(lam = 1) - H(lam = 0)
     p = ModelParams(omega=1.0, Omega=0.05, g1=0.1, g2=0.2, epsilon=0.07)
-    dense = (fs.build_hamiltonian(p.replace(**{lam: 0.2}), 12)
-             - fs.build_hamiltonian(p.replace(**{lam: 0.0}), 12)) / 0.2
+    dense = (kron_hamiltonian(p.replace(**{lam: 0.2}), 12)
+             - kron_hamiltonian(p.replace(**{lam: 0.0}), 12)) / 0.2
     x = np.random.default_rng(5).standard_normal(dense.shape[0])
     np.testing.assert_allclose(
         fs._band_matvec(fs._banded_derivative(lam, 12), x), dense @ x,
@@ -237,6 +249,13 @@ def test_spectrum_validates_k():
         fs.spectrum(p, 4, k=11)
 
 
-def test_build_hamiltonian_validates_cutoff():
-    with pytest.raises(ValueError):
-        fs.build_hamiltonian(ModelParams(omega=1.0), 0)
+def test_cutoff_below_one_rejected():
+    # a plain ValueError, not an EigensolverError blamed on LAPACK
+    p = ModelParams(omega=1.0, Omega=0.3)
+    for cutoff in (0, -3):
+        for solve in (fs.spectrum, fs.gap_ed, qfi_ed):
+            with pytest.raises(ValueError, match="cutoff must be >= 1"):
+                solve(p, cutoff=cutoff)
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            SweepSpec(axes=(Axis("g1", 0.0, 0.1, 2),), base=p, quantity="gap",
+                      cutoff=cutoff)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import effective_potential_direct
 from qrabi.model import (CollapseBoundError, ModelParams, NoTransitionError,
-                         derived_scales, effective_potential,
-                         effective_potential_direct, low_freq_boundary,
+                         derived_scales, effective_potential, low_freq_boundary,
                          transition_bias, transition_g1)
 
 

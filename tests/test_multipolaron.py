@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from qrabi import multipolaron as mp
 from qrabi import polaron
 from qrabi.fockspace import default_cutoff, ground_state
@@ -25,7 +26,7 @@ def stencil_qfi(p, h):
     plain Newton steps: along the flattest directions (curvature 2e-7 at
     Omega = 3, gbar2 = 0.1) any gradient left over moves the optimum by more
     than h times its response allows. xi, centers and weights are differenced
-    and fed to the same closed-form brackets. Callers tighten GRAD_TOL_FACTOR.
+    and fed to the named closed-form brackets. Callers tighten GRAD_TOL_FACTOR.
     Returns the total and the six components.
     """
     theta0 = mp._ansatz_theta(mp.variational_ground(p).ansatz)
@@ -42,10 +43,36 @@ def stencil_qfi(p, h):
     (theta_m, v_m), (theta_p, v_p) = sides
     dxi = (np.exp(theta_p[0::2]) - np.exp(theta_m[0::2])) / (2 * h)
     dm = (theta_p[1::2] - theta_m[1::2]) / (2 * h)
-    brackets, _ = mp._brackets(mp._unpack(theta0), v0, dxi, dm, (v_p - v_m) / (2 * h))
-    components = {a if a == b else f"{a}_{b}": (4.0 if a == b else 8.0) * v
-                  for (a, b), v in brackets.items()}
+    components, _, _ = oracles.named_components(mp._unpack(theta0), v0, dxi, dm,
+                                                (v_p - v_m) / (2 * h))
     return sum(components.values()), components
+
+
+def decompose_with_oracle(p, monkeypatch):
+    """qfi_decompose_multi(p), and the named-bracket oracle fed its dtheta and dc.
+
+    Spies record the ansatz and the expansion the decomposition used. Returns
+    the breakdown and the oracle's (components, residual, intra/inter split).
+    """
+    ground, shape_response = mp.variational_ground, mp._shape_response
+    seen = {}
+
+    def ground_spy(q):
+        seen["ground"] = ground(q)
+        return seen["ground"]
+
+    def response_spy(point):
+        seen["point"], seen["dtheta"] = point, shape_response(point)
+        return seen["dtheta"]
+
+    monkeypatch.setattr(mp, "variational_ground", ground_spy)
+    monkeypatch.setattr(mp, "_shape_response", response_spy)
+    bd = mp.qfi_decompose_multi(p)
+    ansatz, point, dtheta = seen["ground"].ansatz, seen["point"], seen["dtheta"]
+    packets = [(pk.xi, pk.center) for pk in (*ansatz.packets_plus, *ansatz.packets_minus)]
+    dxi = np.array([xi for xi, _ in packets]) * dtheta[0::2]
+    dc = point.response[8] + dtheta @ point.response[:8]
+    return bd, oracles.named_components(packets, point.weights, dxi, dtheta[1::2], dc)
 
 
 def gradient_difference(theta, p, h=1e-5):
@@ -127,7 +154,7 @@ class TestVariationalGround:
 
     def test_normalization_and_gradient(self):
         res = mp.variational_ground(crossover_point())
-        assert res.ansatz.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        assert oracles.norm_squared(res.ansatz) == pytest.approx(1.0, abs=1e-10)
         assert res.grad_norm < 1e-9
 
     def test_deterministic(self):
@@ -176,17 +203,21 @@ class TestQfiDecomposeMulti:
             assert abs(bd.total - fe) / fe < 0.10
 
     def test_intra_polaron_mixed_integrals_vanish(self):
-        # same-packet <dphi/dxi|dphi/dm>, <dphi/dxi|phi>, <dphi/dm|phi> are exact zeros
-        from qrabi import gaussians
-        res = mp.variational_ground(crossover_point())
-        for packets in (res.ansatz.packets_plus, res.ansatz.packets_minus):
-            for pk in packets:
-                assert gaussians.braket_dxi_dm(pk.xi, pk.center, pk.xi, pk.center) == 0.0
-                assert gaussians.braket_dxi_phi(pk.xi, pk.center, pk.xi, pk.center) == 0.0
-                assert gaussians.braket_dm_phi(pk.xi, pk.center, pk.xi, pk.center) == 0.0
+        # in the package's derivative-overlap block, same-packet <d_lnxi phi|d_m phi>
+        # and <d_m phi|phi> are exact zeros (odd moments); <d_lnxi phi|phi> is
+        # 1/4 - 1/4, zero up to the round-off of those two terms
+        p = crossover_point()
+        theta0 = mp._ansatz_theta(mp.variational_ground(p).ansatz)
+        rng = np.random.default_rng(23)
+        for theta in [theta0] + [theta0 + rng.normal(scale=0.5, size=8) for _ in range(100)]:
+            block = mp._expand(theta, p).overlaps
+            for a in range(4):
+                assert block[a, a, 1, 2] == block[a, a, 2, 1] == 0.0
+                assert block[a, a, 2, 0] == block[a, a, 0, 2] == 0.0
+                assert abs(block[a, a, 1, 0]) <= 2 * np.finfo(float).eps
 
-    def test_intra_terms_lead(self):
-        bd, split = mp.qfi_decompose_multi(crossover_point(), return_split=True)
+    def test_intra_terms_lead(self, monkeypatch):
+        bd, (_, _, split) = decompose_with_oracle(crossover_point(), monkeypatch)
         for key in ("xi", "x", "rho"):
             assert abs(split[key]["intra"]) >= abs(split[key]["inter"])
             assert split[key]["intra"] + split[key]["inter"] == pytest.approx(
@@ -289,9 +320,37 @@ class TestQfiOracle:
         assert mp.variational_ground(p).grad_norm <= 1e-9 * p.omega
         assert np.isfinite(mp.qfi_decompose_multi(p).total)
 
+    def test_one_variational_ground_per_decomposition(self, monkeypatch):
+        # the benchmark captures gradient norms by rebinding this module attribute
+        calls = []
+        ground = mp.variational_ground
+        monkeypatch.setattr(mp, "variational_ground", lambda q: calls.append(q) or ground(q))
+        mp.qfi_decompose_multi(crossover_point())
+        assert calls == [crossover_point()]
+
     def test_residual_above_roundoff_raises(self, monkeypatch):
-        brackets = mp._brackets
-        monkeypatch.setattr(mp, "_brackets",
-                            lambda *a: (brackets(*a)[0], 1e-6))
+        # a weight response with a part along c changes the norm of psi:
+        # <psi'|psi> = 1e-3 <psi|psi>, far above round-off
+        expand = mp._expand
+
+        def skewed(theta, p):
+            point = expand(theta, p)
+            response = point.response.copy()
+            response[8] += 1e-3 * point.weights
+            return dataclasses.replace(point, response=response)
+
+        monkeypatch.setattr(mp, "_expand", skewed)
         with pytest.raises(mp.VariationalError, match="residual"):
             mp.qfi_decompose_multi(crossover_point())
+
+    @pytest.mark.parametrize("p", [grid_point(*pt) for pt in GRID] + [crossover_point()],
+                             ids=[f"Omega={o}-gbar2={g:.4f}" for o, g in GRID] + ["crossover"])
+    def test_block_matches_named_brackets(self, p, monkeypatch):
+        # same dtheta and dc, two assemblies: the overlap block against the
+        # named closed forms
+        bd, (components, residual, _) = decompose_with_oracle(p, monkeypatch)
+        assert list(bd.components) == list(components)
+        for name, value in components.items():
+            assert abs(bd.components[name] - value) <= 1e-12 * bd.total, name
+        assert abs(bd.total - sum(components.values())) <= 1e-12 * bd.total
+        assert abs(residual) <= 1e-12 * bd.total

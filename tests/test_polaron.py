@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import linregress
 
+from oracles import norm_squared
 from qrabi import polaron
 from qrabi.model import ModelParams, derived_scales, transition_bias
 
@@ -103,7 +104,7 @@ class TestAdiabaticAnsatz:
     def test_normalized(self):
         a = polaron.adiabatic_ansatz(params(Omega=0.05, gbar1=0.3, gbar2=0.7,
                                             epsilon=0.1))
-        assert a.norm_squared() == pytest.approx(1.0, rel=1e-10)
+        assert norm_squared(a) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestDerivativeChain:

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import fidelity
 from qrabi import polaron
 from qrabi.fockspace import (EigensolverError, _band_matvec, _banded_derivative,
                              _banded_hamiltonian, default_cutoff, spectrum)
 from qrabi.model import ModelParams, transition_bias
-from qrabi.qfi_ed import (BiasPeak, DegenerateGroundError, fidelity, qfi_ed,
-                          qfi_peak_over_bias)
+from qrabi.qfi_ed import BiasPeak, DegenerateGroundError, qfi_ed, qfi_peak_over_bias
 
 
 def central_difference_qfi(p: ModelParams, lam: str, step: float,

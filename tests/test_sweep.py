@@ -235,6 +235,27 @@ class TestPtps:
             sw.ptps(ModelParams(omega=1.0, Omega=0.1), coupling="epsilon",
                     gbar_max=0.5, gap_fn=lambda g: 1.0)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            sw.ptps(ModelParams(omega=1.0, Omega=0.1), coupling="g2", gbar_max=0.5,
+                    gap_fn=lambda g: 1.0, rel_tol=rel_tol)
+
+    def test_exhausted_budget_raises(self):
+        # the sharp dip of test_refinement_converges at a tolerance out of reach
+        gaps = []
+
+        def gap(g):
+            gaps.append(g)
+            return 0.02 + (g - 0.6) ** 2
+
+        with pytest.raises(sw.PtpsBudgetError,
+                           match=f"budget of {sw.PTPS_MAX_EVALS} gap evaluations"):
+            sw.ptps(ModelParams(omega=1.0, Omega=0.1), coupling="g2", gbar_max=0.9,
+                    gap_fn=gap, rel_tol=1e-13)
+        assert len(gaps) == sw.PTPS_MAX_EVALS
+        assert issubclass(sw.PtpsBudgetError, RuntimeError)  # the CLI exits 1
+
 
 def per_point_peak(p, coupling, scan, points=25, refinements=2):
     """Oracle: the peak scan with each point at its own default_cutoff."""

@@ -1,9 +1,11 @@
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import hermite_functions
 from qrabi import wigner as wg
 from qrabi.fockspace import SpinorFockVector, default_cutoff, ground_state
 from qrabi.model import ModelParams, derived_scales
@@ -18,15 +20,22 @@ def vacuum_vector(cutoff=20):
 class TestHermite:
     def test_orthonormal_on_fine_grid(self):
         x = np.linspace(-12, 12, 4001)
-        h = wg.hermite_functions(12, x)
+        h = hermite_functions(12, x)
         gram = np.trapezoid(h[:, None, :] * h[None, :, :], x, axis=2)
         assert np.max(np.abs(gram - np.eye(13))) < 1e-8
 
     def test_vacuum_profile(self):
         x = np.linspace(-5, 5, 101)
-        h = wg.hermite_functions(0, x)
+        h = hermite_functions(0, x)
         np.testing.assert_allclose(
             h[0], math.pi ** -0.25 * np.exp(-0.5 * x ** 2), atol=1e-14)
+
+    def test_streaming_sum_matches_materialized_functions(self):
+        # the package sums c_n h_n(x) without storing every h_n
+        coeff = np.random.default_rng(4).normal(size=(2, 31))
+        x = np.linspace(-12, 12, 301)
+        psi = wg.position_wavefunction(SpinorFockVector(coeff[0], coeff[1], 30), x)
+        np.testing.assert_allclose(psi, coeff @ hermite_functions(30, x), rtol=0, atol=1e-12)
 
 
 class TestPositionWavefunction:
@@ -125,19 +134,17 @@ class TestWigner:
         _, v = ground_state(p, default_cutoff(p))
         x = np.linspace(-2.0, 2.0, 64)  # far too small for 1/sqrt(0.1) spread
         with pytest.raises(wg.QuadratureError):
-            with pytest.warns(UserWarning):
-                wg.wigner(v, x, x)
+            wg.wigner(v, x, x)
 
     def test_grid_note_recorded_when_support_missed(self):
-        p = ModelParams.from_dimensionless(1.0, 0.01, 0.0, 0.9, 0.0)
+        # reported once, as a note, and not also as a warning
+        p = ModelParams(omega=1.0, Omega=1.0)
         _, v = ground_state(p, default_cutoff(p))
-        x = np.linspace(-3.2, 3.2, 96)
-        try:
-            with pytest.warns(UserWarning):
-                grid = wg.wigner(v, x, x)
-        except wg.QuadratureError:
-            return  # acceptable contract: badly truncated grids may fail outright
-        assert any("support" in note for note in grid.notes)
+        x = np.linspace(-3.0, 3.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = wg.wigner(v, x, x)
+        assert grid.notes == ("x grid does not cover the wavefunction support",)
 
     def test_rejects_degenerate_axes(self):
         with pytest.raises(ValueError):
