@@ -4,6 +4,14 @@ Basis ordering interleaves spin and photon number: index 2n for |n, +> and
 2n + 1 for |n, ->. All couplings are real, so the matrix is real symmetric;
 in this ordering it is banded with four sub-diagonals (the g2 two-photon
 element connects indices 2n and 2n + 4).
+
+Energies, gaps and cutoff convergence take eigenvalues alone from LAPACK.
+The ground vector has one routine, `_ground_solve`: one eigenvalue-only solve
+for E0 and E1, one banded Cholesky factor of H - E0 + RESPONSE_SHIFT (E1 - E0),
+and shifted inverse iteration on that factor (Golub & Van Loan, Matrix
+Computations, sec. 8.2), which reaches psi0 to round-off in a few steps.
+`ground_state` and the ED QFI both use it; only `spectrum` asks LAPACK for
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,6 +29,17 @@ DEFAULT_CUTOFF_START = 16
 DEFAULT_CUTOFF_CEILING = 4096
 # E1 - E0 below this fraction of omega counts as a closed gap.
 GAP_FLOOR_FACTOR = 1e-12
+# Shift of the factored H - E0, as a fraction of the gap: each inverse-iteration
+# step multiplies the error by at most RESPONSE_SHIFT / (1 + RESPONSE_SHIFT).
+RESPONSE_SHIFT = 1e-3
+# Twice the inverse-iteration steps that shrink an error of one to round-off at
+# that rate; the first half absorbs a start vector nearly orthogonal to psi0.
+INVERSE_ITERATION_CAP = 2 * math.ceil(
+    math.log(np.finfo(float).eps) / math.log(RESPONSE_SHIFT / (1.0 + RESPONSE_SHIFT)))
+# ||(H - E0) psi0|| at round-off, in units of machine epsilon times ||H||_inf.
+# The residual settles at the error of E0 from eig_banded, up to ~3 of these
+# units on random points at cutoffs up to 4096.
+ROUNDOFF_RESIDUAL = 64.0
 
 
 class EigensolverError(RuntimeError):
@@ -29,6 +48,10 @@ class EigensolverError(RuntimeError):
 
 class CutoffConvergenceError(RuntimeError):
     """Ground energy not converged below the requested tolerance at the cutoff ceiling."""
+
+
+class DegenerateGroundError(RuntimeError):
+    """E1 - E0 below GAP_FLOOR_FACTOR omega: psi0, (H - E0)^+ and F_Q are ill-defined."""
 
 
 @dataclass(frozen=True)
@@ -152,14 +175,68 @@ def spectrum(p: ModelParams, cutoff: int, k: int = 2) -> SpectrumSlice:
     return SpectrumSlice(energies=energies, vectors=vectors, cutoff=cutoff)
 
 
+def _inverse_iteration(singular: np.ndarray, factor: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """psi0 by inverse iteration with the factor of H - E0 + RESPONSE_SHIFT gap.
+
+    Steps until ||(H - E0) psi|| stops shrinking (by at least half; an
+    unconverged step shrinks it about a thousandfold), which is where it
+    reaches round-off. Raises EigensolverError when the residual it settles
+    at, or reaches after INVERSE_ITERATION_CAP steps, is above `tol`.
+    """
+    psi = np.random.default_rng(0).standard_normal(singular.shape[1])
+    last = math.inf
+    for _ in range(INVERSE_ITERATION_CAP):
+        psi = scipy.linalg.cho_solve_banded((factor, True), psi, check_finite=False)
+        psi /= np.linalg.norm(psi)
+        residual = float(np.linalg.norm(_band_matvec(singular, psi)))
+        if residual >= 0.5 * last:
+            break
+        last = residual
+    if residual > tol:
+        raise EigensolverError(
+            f"inverse iteration for psi0 stopped at residual {residual:.3e} "
+            f"above round-off {tol:.3e}")
+    return psi
+
+
+def _ground_solve(p: ModelParams, cutoff: int):
+    """(E0, H - E0, Cholesky factor of H - E0 + RESPONSE_SHIFT gap, psi0).
+
+    Both bands are lower-banded; psi0 is interleaved, unit norm, unfixed sign.
+    Raises DegenerateGroundError when E1 - E0 < GAP_FLOOR_FACTOR * omega, and
+    EigensolverError when the factor fails or psi0 does not reach round-off.
+    """
+    e0, e1 = (float(e) for e in _eig_banded(p, cutoff, 2, eigvals_only=True))
+    gap = e1 - e0
+    if gap < GAP_FLOOR_FACTOR * p.omega:
+        raise DegenerateGroundError(
+            f"gap E1 - E0 = {gap:.3e} below {GAP_FLOOR_FACTOR:g} omega at {p}, "
+            f"cutoff {cutoff}: degenerate ground state")
+    singular = _banded_hamiltonian(p, cutoff)
+    tol = ROUNDOFF_RESIDUAL * np.finfo(float).eps * float(
+        np.max(_band_matvec(np.abs(singular), np.ones(singular.shape[1]))))
+    singular[0] -= e0
+    shifted = singular.copy()
+    shifted[0] += RESPONSE_SHIFT * gap
+    try:
+        factor = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            f"H - E0 + {RESPONSE_SHIFT:g} gap not positive definite at cutoff "
+            f"{cutoff} for {p}: {exc}") from exc
+    return e0, singular, factor, _inverse_iteration(singular, factor, tol)
+
+
 def ground_state(p: ModelParams, cutoff: int) -> tuple[float, SpinorFockVector]:
-    sl = spectrum(p, cutoff, k=1)
-    return float(sl.energies[0]), sl.vectors[0]
+    """E0 and the gauge-fixed ground vector, by inverse iteration (see `_ground_solve`)."""
+    e0, _, _, psi = _ground_solve(p, cutoff)
+    return e0, SpinorFockVector.from_interleaved(_gauge_fix(psi), cutoff)
 
 
 @functools.lru_cache(maxsize=4096)
 def _ground_energy(p: ModelParams, cutoff: int) -> float:
-    return spectrum(p, cutoff, k=1).energies[0]
+    return _eig_banded(p, cutoff, 1, eigvals_only=True)[0]
 
 
 def converge_cutoff(p: ModelParams, tol: float | None = None,

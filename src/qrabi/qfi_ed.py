@@ -7,43 +7,28 @@ construction, Baroni et al., RMP 73, 515 (2001)). dH/d lambda is banded, so
 
 with x orthogonal to psi0: x is d psi0/d lambda of the truncated problem,
 and F_Q/4 is the fidelity susceptibility (You, Li & Gu, PRE 76, 022101 (2007)).
-It takes one eigenvalue-only solve for E0 and E1 and one banded Cholesky
-factor of H - E0 + RESPONSE_SHIFT (E1 - E0). Shifted inverse iteration on that
-factor gives psi0 (Golub & Van Loan, Matrix Computations, sec. 8.2), and the
-same factor solves for x.
+E0, psi0 and the banded Cholesky factor of H - E0 + RESPONSE_SHIFT (E1 - E0)
+come from `fockspace._ground_solve`, the package's one ground-vector routine
+(an eigenvalue-only solve plus shifted inverse iteration); the same factor
+solves for x.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .fockspace import (GAP_FLOOR_FACTOR, EigensolverError, _band_matvec,
-                        _banded_derivative, _banded_hamiltonian, _eig_banded,
-                        default_cutoff)
+# DegenerateGroundError is re-exported: qfi_ed raises it through _ground_solve.
+from .fockspace import (DegenerateGroundError, _band_matvec, _banded_derivative,
+                        _ground_solve, default_cutoff)
 from .model import ModelParams
 
 LAMBDA_NAMES = ("g2", "g1", "epsilon")
-# Shift of the factored H - E0, as a fraction of the gap: each inverse-iteration
-# or refinement step multiplies the error by at most
-# RESPONSE_SHIFT / (1 + RESPONSE_SHIFT), so four refinements reach round-off.
-RESPONSE_SHIFT = 1e-3
+# Refinements of the response against H - E0; each multiplies the error by at
+# most fockspace.RESPONSE_SHIFT / (1 + RESPONSE_SHIFT), so four reach round-off.
 RESPONSE_REFINEMENTS = 4
-# Twice the inverse-iteration steps that shrink an error of one to round-off at
-# that rate; the first half absorbs a start vector nearly orthogonal to psi0.
-INVERSE_ITERATION_CAP = 2 * math.ceil(
-    math.log(np.finfo(float).eps) / math.log(RESPONSE_SHIFT / (1.0 + RESPONSE_SHIFT)))
-# ||(H - E0) psi0|| at round-off, in units of machine epsilon times ||H||_inf.
-# The residual settles at the error of E0 from eig_banded, up to ~3 of these
-# units on random points at cutoffs up to 4096.
-ROUNDOFF_RESIDUAL = 64.0
-
-
-class DegenerateGroundError(RuntimeError):
-    """E1 - E0 below GAP_FLOOR_FACTOR omega: (H - E0)^+ and F_Q are ill-defined."""
 
 
 @dataclass
@@ -72,31 +57,6 @@ def _lambda_value(p: ModelParams, lam: str) -> float:
     return getattr(p, lam)
 
 
-def _inverse_iteration(singular: np.ndarray, factor: np.ndarray,
-                       tol: float) -> np.ndarray:
-    """psi0 by inverse iteration with the factor of H - E0 + RESPONSE_SHIFT gap.
-
-    Steps until ||(H - E0) psi|| stops shrinking (by at least half; an
-    unconverged step shrinks it about a thousandfold), which is where it
-    reaches round-off. Raises EigensolverError when the residual it settles
-    at, or reaches after INVERSE_ITERATION_CAP steps, is above `tol`.
-    """
-    psi = np.random.default_rng(0).standard_normal(singular.shape[1])
-    last = math.inf
-    for _ in range(INVERSE_ITERATION_CAP):
-        psi = scipy.linalg.cho_solve_banded((factor, True), psi, check_finite=False)
-        psi /= np.linalg.norm(psi)
-        residual = float(np.linalg.norm(_band_matvec(singular, psi)))
-        if residual >= 0.5 * last:
-            break
-        last = residual
-    if residual > tol:
-        raise EigensolverError(
-            f"inverse iteration for psi0 stopped at residual {residual:.3e} "
-            f"above round-off {tol:.3e}")
-    return psi
-
-
 def _response(singular: np.ndarray, factor: np.ndarray, psi: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
     """x orthogonal to psi with (H - E0) x = rhs, for rhs orthogonal to psi.
@@ -123,20 +83,7 @@ def qfi_ed(p: ModelParams, lam: str = "g2",
     """
     value = _lambda_value(p, lam)
     n = default_cutoff(p) if cutoff is None else cutoff
-    e0, e1 = (float(e) for e in _eig_banded(p, n, 2, eigvals_only=True))
-    gap = e1 - e0
-    if gap < GAP_FLOOR_FACTOR * p.omega:
-        raise DegenerateGroundError(
-            f"gap E1 - E0 = {gap:.3e} below {GAP_FLOOR_FACTOR:g} omega at {p}, "
-            f"cutoff {n}: degenerate ground state, F_Q({lam}) undefined")
-    singular = _banded_hamiltonian(p, n)
-    tol = ROUNDOFF_RESIDUAL * np.finfo(float).eps * float(
-        np.max(_band_matvec(np.abs(singular), np.ones(singular.shape[1]))))
-    singular[0] -= e0
-    shifted = singular.copy()
-    shifted[0] += RESPONSE_SHIFT * gap
-    factor = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
-    psi = _inverse_iteration(singular, factor, tol)
+    _, singular, factor, psi = _ground_solve(p, n)
     dh_psi = _band_matvec(_banded_derivative(lam, n), psi)
     x = _response(singular, factor, psi, psi * (psi @ dh_psi) - dh_psi)
     return QfiBreakdown(total=4.0 * float(x @ x), method="ED", lam=lam,

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polaron
-from .fockspace import (GAP_FLOOR_FACTOR, CutoffConvergenceError, EigensolverError,
-                        _ground_energy, converge_cutoff, gap_ed, ground_state,
-                        sigma_z)
+from .fockspace import (GAP_FLOOR_FACTOR, CutoffConvergenceError, DegenerateGroundError,
+                        EigensolverError, _ground_energy, converge_cutoff, gap_ed,
+                        ground_state, sigma_z)
 from .model import CollapseBoundError, ModelParams
-from .qfi_ed import DegenerateGroundError, qfi_ed
+from .qfi_ed import qfi_ed
 
 AXIS_NAMES = ("omega", "Omega", "g1", "g2", "epsilon", "gbar1", "gbar2")
 QUANTITIES = ("sigma_z", "energy", "gap", "qfi_ed", "qfi_analytic")

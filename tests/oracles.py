@@ -4,7 +4,7 @@ Each computes something the package computes another way, or does not need:
 the named closed-form Gaussian elements and the six QFI components built from
 them, the densified Fock Hamiltonian, Hermite functions, the direct
 expansion of the spin-branch potential, the ansatz norm and the ground-state
-fidelity from exact eigenvectors.
+fidelity.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qrabi import gaussians as gs
-from qrabi.fockspace import _band_matvec, _banded_hamiltonian, default_cutoff, spectrum
+from qrabi.fockspace import _band_matvec, _banded_hamiltonian, default_cutoff, ground_state
 from qrabi.model import ModelParams
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,8 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def fidelity(p: ModelParams, lam: str, delta: float, cutoff: int | None = None) -> float:
-    """|<psi(lambda)|psi(lambda + delta)>| from LAPACK ground vectors at a shared cutoff."""
+    """|<psi(lambda)|psi(lambda + delta)>| from the ground vectors at a shared cutoff."""
     n = default_cutoff(p) if cutoff is None else cutoff
-    v0, v1 = (spectrum(q, n, k=1).vectors[0].interleaved()
+    v0, v1 = (ground_state(q, n)[1].interleaved()
               for q in (p, p.replace(**{lam: getattr(p, lam) + delta})))
     return abs(float(v0 @ v1))

@@ -135,6 +135,13 @@ class TestWignerCommand:
                   if not l.startswith("#")][0]
         assert header.endswith("w_plus_display,w_minus_display")
 
+    def test_degenerate_ground_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "wigner", "--omega", "0.01", "--Omega", "1",
+                        "--g1", "1.5gs")
+        assert code == 1
+        assert not out.exists()
+        assert "degenerate ground state" in capsys.readouterr().err
+
 
 class TestCurveAndDiagram:
     def test_qfi_curve_analytic(self, tmp_path):

@@ -8,7 +8,7 @@ from oracles import dense_hamiltonian
 from qrabi import fockspace as fs
 from qrabi.model import ModelParams
 from qrabi.qfi_ed import qfi_ed
-from qrabi.sweep import Axis, SweepSpec
+from qrabi.sweep import Axis, SweepSpec, apply_axis
 
 
 def kron_hamiltonian(p: ModelParams, cutoff: int) -> np.ndarray:
@@ -157,6 +157,47 @@ class TestSigmaZ:
         p = ModelParams.from_dimensionless(1.0, 0.01, 0.1, 0.998, 0.33)
         _, v = fs.ground_state(p, 256)
         assert fs.sigma_z(v) < -0.9
+
+
+# The 4 x 3 slice of the README low-frequency phase diagram that the benchmark
+# runs (gbar1 0.85-1.6, gbar2 0.35-0.55, converged cutoffs up to 512) and the
+# README wigner point.
+LOW_FREQUENCY_BASE = ModelParams(omega=0.01, Omega=1.0, epsilon=0.0033)
+INVERSE_ITERATION_POINTS = [
+    apply_axis(apply_axis(LOW_FREQUENCY_BASE, "gbar1", float(x)), "gbar2", float(y))
+    for x in np.linspace(0.85, 1.6, 4) for y in np.linspace(0.35, 0.55, 3)
+] + [ModelParams.from_dimensionless(1.0, 1.0, 0.0, 0.9942)]
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("p", INVERSE_ITERATION_POINTS)
+    def test_matches_lapack_vector(self, p):
+        n = fs.default_cutoff(p)
+        e0, v = fs.ground_state(p, n)
+        sl = fs.spectrum(p, n, k=1)
+        assert e0 == pytest.approx(float(sl.energies[0]), rel=1e-15, abs=0.0)
+        assert np.max(np.abs(v.interleaved() - sl.vectors[0].interleaved())) < 1e-12
+        assert fs.sigma_z(v) == pytest.approx(fs.sigma_z(sl.vectors[0]), abs=1e-12)
+        assert v.cutoff == n
+
+    @pytest.mark.parametrize("gbar1", [1.3, 1.45, 1.6])
+    def test_degenerate_ground_raises(self, gbar1):
+        # linear model at omega/Omega = 0.01 without bias: the two wells are
+        # mirror images and E1 - E0 ~ 2e-16, below the 1e-14 floor
+        p = ModelParams.from_dimensionless(0.01, 1.0, gbar1, 0.0, 0.0)
+        with pytest.raises(fs.DegenerateGroundError, match="degenerate ground state"):
+            fs.ground_state(p, fs.default_cutoff(p))
+
+    def test_failed_factor_is_typed(self, monkeypatch):
+        # E0 above the true ground energy leaves H - E0 + shift indefinite
+        original = fs._eig_banded
+
+        def high(*args, **kwargs):
+            return original(*args, **kwargs) + 1e-3
+
+        monkeypatch.setattr(fs, "_eig_banded", high)
+        with pytest.raises(fs.EigensolverError, match="not positive definite"):
+            fs.ground_state(ModelParams(omega=1.0, Omega=0.3, g1=0.2), 32)
 
 
 class TestGap:

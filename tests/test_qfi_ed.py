@@ -4,11 +4,13 @@ import pytest
 import scipy.linalg
 
 from oracles import fidelity
-from qrabi import polaron
+from qrabi import cli, polaron
+from qrabi import fockspace as fs
 from qrabi.fockspace import (EigensolverError, _band_matvec, _banded_derivative,
                              _banded_hamiltonian, default_cutoff, spectrum)
 from qrabi.model import ModelParams, transition_bias
 from qrabi.qfi_ed import BiasPeak, DegenerateGroundError, qfi_ed, qfi_peak_over_bias
+from qrabi.sweep import Axis, SweepSpec, run_sweep
 
 
 def central_difference_qfi(p: ModelParams, lam: str, step: float,
@@ -122,21 +124,20 @@ class TestQfiEd:
 
     def test_gauge_invariance_under_global_sign_flips(self, monkeypatch):
         # negating the ground vector qfi_ed solves with must not change the QFI
-        import qrabi.qfi_ed as mod
         p = ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1)
         reference = qfi_ed(p, lam="g2").total
-        original = mod._inverse_iteration
+        original = fs._inverse_iteration
         calls = []
 
         def flipped(*args):
             calls.append(args)
             return -original(*args)
 
-        monkeypatch.setattr(mod, "_inverse_iteration", flipped)
+        monkeypatch.setattr(fs, "_inverse_iteration", flipped)
         assert qfi_ed(p, lam="g2").total == pytest.approx(reference, rel=1e-12)
         assert len(calls) == 1
 
-    def test_requests_no_eigenvectors(self, monkeypatch):
+    def test_requests_no_eigenvectors(self, monkeypatch, tmp_path):
         requests = []
         solve = scipy.linalg.eig_banded
 
@@ -148,6 +149,25 @@ class TestQfiEd:
         for lam in ("g2", "g1", "epsilon"):
             qfi_ed(ModelParams(omega=1.0, Omega=0.3, g1=0.2, g2=0.1), lam=lam, cutoff=32)
         assert requests == [True, True, True]
+
+        # every other ground-state path; parameters no other test uses, so the
+        # cutoff caches start cold and the convergence solves run here
+        base = ModelParams(omega=1.0, Omega=0.37, epsilon=0.013)
+        paths = {
+            "converge_cutoff": lambda: fs.converge_cutoff(base.replace(g1=0.21)),
+            "ground_state": lambda: fs.ground_state(base.replace(g2=0.07), 48),
+            "sigma_z sweep": lambda: run_sweep(SweepSpec(
+                axes=(Axis("gbar2", 0.1, 0.2, 2),), base=base, quantity="sigma_z")),
+            "energy sweep": lambda: run_sweep(SweepSpec(
+                axes=(Axis("gbar2", 0.3, 0.4, 2),), base=base, quantity="energy")),
+            "wigner command": lambda: cli.main(
+                ["wigner", "--Omega", "0.37", "--g2", "0.55gT", "--epsilon", "0.013",
+                 "--points", "8", "-o", str(tmp_path / "w.csv")]),
+        }
+        for name, run in paths.items():
+            requests.clear()
+            run()
+            assert requests and all(requests), name
 
     def test_matches_vector_solve_oracle(self):
         rng = np.random.default_rng(47)
@@ -169,13 +189,12 @@ class TestQfiEd:
     def test_unconverged_ground_vector_raises(self, monkeypatch):
         # E0 one micro-omega low: inverse iteration still converges to psi0,
         # but ||(H - E0) psi|| settles far above round-off
-        import qrabi.qfi_ed as mod
-        original = mod._eig_banded
+        original = fs._eig_banded
 
         def low(*args, **kwargs):
             return original(*args, **kwargs) - 1e-6
 
-        monkeypatch.setattr(mod, "_eig_banded", low)
+        monkeypatch.setattr(fs, "_eig_banded", low)
         with pytest.raises(EigensolverError, match="round-off"):
             qfi_ed(ModelParams.from_dimensionless(1.0, 0.01, 0.2, 0.7, 0.1),
                    lam="g2", cutoff=64)

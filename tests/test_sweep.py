@@ -88,6 +88,16 @@ class TestRunSweep:
         assert grid.values[1] == pytest.approx(0.0, abs=1e-12)
         assert (1,) not in grid.failures
 
+    def test_degenerate_sigma_z_recorded(self):
+        # unbiased linear model at omega/Omega = 0.01 past gbar1 = 1: the two
+        # wells are mirror images, so <sigma_z> of "the" ground state is undefined
+        spec = sw.SweepSpec(axes=(sw.Axis("gbar1", 1.3, 1.6, 3),),
+                            base=ModelParams(omega=0.01, Omega=1.0), quantity="sigma_z")
+        grid = sw.run_sweep(spec)
+        assert np.isnan(grid.values).all()
+        assert sorted(grid.failures) == [(0,), (1,), (2,)]
+        assert all(f.startswith("DegenerateGroundError: ") for f in grid.failures.values())
+
     def test_axis_domain_validated_up_front(self):
         base = ModelParams(omega=1.0, Omega=0.2)
         with pytest.raises(ValueError):
